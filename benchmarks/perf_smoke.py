@@ -16,36 +16,27 @@ repo's round-level speedups:
   row records the grid-seeded (``bin_seeding=True``) fit vs the unbinned
   one at the same n=400 feature set, after asserting both discover the
   same trusted majority.
-* ``collect_gradients``    — the round's collect stage at n=100 clients:
-  sequential loop vs :class:`repro.fl.ParallelCollector` with 4 workers.
-  Clients carry a small simulated dispatch latency (``time.sleep``, GIL
-  released), standing in for the client round-trip of a deployed
-  federation — that waiting is what the thread pool overlaps, and on
-  multi-core hosts the numpy compute parallelizes on top of it.  The
-  latency is recorded in the JSON (``simulated_client_latency_s``) so the
-  number is never mistaken for a single-core compute speedup.  A pure
-  compute-bound variant (no latency) is recorded for the threaded backend
-  as context without a floor, and for the **process** backend
-  (:class:`repro.fl.ProcessCollector`, shared-memory round buffer) with a
-  >= 1.5x floor that is enforced whenever the host has more than one core
-  (``cpu_count`` is recorded in the JSON; on a single-core host the
-  process pool cannot beat sequential and the floor is reported as
-  skipped).  The threaded and process float64 buffers are verified
-  **bit-identical** to the sequential one before any timing is trusted.
+* ``collect_gradients``    — the round's sequential collect stage at
+  n=100 clients whose dispatch carries a small simulated latency
+  (``time.sleep``; ``simulated_client_latency_s`` in the JSON): the
+  full-round baseline of the sampled row below.
 * ``collect_gradients_sampled`` — the same collect stage under partial
   participation (a 20% cohort via ``rows=``): a sampled round must be
   measurably cheaper than a full round (>= 2x floor), because collect cost
   scales with the cohort, not the population.  Non-contiguous subsets are
-  first verified **bit-identical** across all three backends.
-* ``collect_gradients_cpu_bound/distributed2`` — the **distributed**
-  backend (:class:`repro.fl.transport.DistributedCollector`) over a
-  two-worker localhost ``repro-worker`` fleet (real subprocesses), on the
-  same compute-bound workload.  Recorded as context without a floor (the
-  point of the backend is multi-*host* scale, which localhost cannot
-  demonstrate); the JSON records ``bytes_per_round`` on the wire and
-  ``cpu_count``.  Before any timing, full **and** sampled distributed
-  collects are verified bit-identical to the sequential path over an
-  in-process fleet.
+  first verified **bit-identical** on the sequential, ``process`` and
+  distributed backends.
+* ``collect_gradients_cpu_bound/process4`` — the compute-bound collect
+  stage (no latency) on the ``process`` backend: a local fleet of 4
+  ``repro-worker`` subprocesses (BLAS threads pinned to their share of
+  the cores) driven by :class:`repro.fl.transport.DistributedCollector`
+  over localhost TCP, vs the sequential loop.  A >= 1.5x floor is
+  enforced whenever the host has more than one core (``cpu_count`` is
+  recorded in the JSON; on a single-core host the fleet cannot beat
+  sequential and the floor is reported as skipped); the JSON also records
+  ``bytes_per_round`` on the wire.  Before any timing, full **and**
+  sampled ``process`` and distributed collects are verified
+  **bit-identical** to the sequential path.
 * ``collect_gradients_wire_codec/<codec>`` — one row per registered
   gradient wire codec (``raw``, ``sign1bit``, ``int8``, ``fp16``,
   ``topk``): the same distributed collect with the codec negotiated,
@@ -69,8 +60,8 @@ Every bench row additionally records ``peak_rss_bytes``, the process
 high-water-mark RSS at measurement time (stamped by ``run_benchmark``).
 
 The script **fails loudly** (non-zero exit) when an optimized path stops
-using the cache (detected via ``GradientBatch.compute_counts``), when the
-threaded collect stops matching the sequential collect bit-for-bit, or when
+using the cache (detected via ``GradientBatch.compute_counts``), when a
+fleet collect stops matching the sequential collect bit-for-bit, or when
 a speedup regresses below its floor.
 
 Usage::
@@ -101,14 +92,9 @@ from repro.clustering import MeanShift  # noqa: E402
 from repro.core.pipeline import SignGuardPipeline  # noqa: E402
 from repro.data.factory import build_dataset  # noqa: E402
 from repro.fl.client import BenignClient  # noqa: E402
-from repro.fl import (  # noqa: E402
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-)
+from repro.fl import SequentialCollector, make_collector  # noqa: E402
 from repro.fl.transport import (  # noqa: E402
     DistributedCollector,
-    spawn_local_fleet,
     start_thread_fleet,
     wire_codec_names,
 )
@@ -172,9 +158,8 @@ class LatencyClient(BenignClient):
     """Benign client with a simulated per-dispatch communication delay.
 
     A deployed federation pays a network round-trip per client; the
-    ``time.sleep`` stand-in releases the GIL exactly like socket I/O would,
-    so the thread pool overlaps the waits the same way it would overlap real
-    latency.  ``latency_s=0`` gives the pure compute-bound case.
+    ``time.sleep`` stand-in makes the sequential full round cost what such
+    a round would, so the sampled round's saving is measured against it.
     """
 
     def __init__(self, *args, latency_s: float = 0.0, **kwargs):
@@ -193,8 +178,8 @@ def make_collect_population(
     """(clients, model, buffer) for the collect-stage benchmark.
 
     Every client's batch-sampling RNG is an :class:`RngFactory` child stream
-    fixed here — before any dispatch — which is what makes the threaded
-    collect bit-identical to the sequential one.
+    fixed here — before any dispatch — which is what makes a fleet collect
+    bit-identical to the sequential one.
 
     ``plain_clients=True`` builds :class:`BenignClient`\\ s (importable from
     ``repro``) instead of the script-local :class:`LatencyClient` — required
@@ -230,41 +215,40 @@ def make_collect_population(
 
 
 def check_collect_equivalence(n_clients: int) -> None:
-    """Threaded and process float64 collect must be bit-identical to
+    """The ``process`` backend's float64 collect must be bit-identical to
     sequential (same per-client RNG streams, fixed before dispatch)."""
-    clients_a, model, buffer_a = make_collect_population(n_clients, latency_s=0.0)
-    clients_b, _, buffer_b = make_collect_population(n_clients, latency_s=0.0)
-    clients_c, _, buffer_c = make_collect_population(n_clients, latency_s=0.0)
+    clients_a, model, buffer_a = make_collect_population(
+        n_clients, latency_s=0.0, plain_clients=True
+    )
+    clients_b, _, buffer_b = make_collect_population(
+        n_clients, latency_s=0.0, plain_clients=True
+    )
     SequentialCollector().collect(clients_a, model, buffer_a)
-    with ParallelCollector(4) as collector:
+    with make_collector(backend="process", n_workers=2) as collector:
         collector.collect(clients_b, model, buffer_b)
     _require(
         bool(np.array_equal(buffer_a, buffer_b)),
-        "threaded float64 collect is not bit-identical to the sequential path",
-    )
-    with ProcessCollector(2) as collector:
-        collector.collect(clients_c, model, buffer_c)
-    _require(
-        bool(np.array_equal(buffer_a, buffer_c)),
         "process float64 collect is not bit-identical to the sequential path",
     )
 
 
 def check_sampled_collect_equivalence(n_clients: int) -> None:
-    """A non-contiguous participation subset must be bit-identical across
-    all three backends (round-1 rows also match a full collect's rows)."""
+    """A non-contiguous participation subset must be bit-identical on the
+    sequential and ``process`` backends (round-1 rows also match a full
+    collect's rows)."""
     rows = list(range(1, n_clients, 3))
     clients_full, model, buffer_full = make_collect_population(n_clients, latency_s=0.0)
     SequentialCollector().collect(clients_full, model, buffer_full)
     reference = buffer_full[rows]
-    for label, make_collector in (
+    for label, build in (
         ("sequential", SequentialCollector),
-        ("threaded", lambda: ParallelCollector(4)),
-        ("process", lambda: ProcessCollector(2)),
+        ("process", lambda: make_collector(backend="process", n_workers=2)),
     ):
-        clients, _, _ = make_collect_population(n_clients, latency_s=0.0)
+        clients, _, _ = make_collect_population(
+            n_clients, latency_s=0.0, plain_clients=True
+        )
         subset = np.empty((len(rows), model.num_parameters()))
-        with make_collector() as collector:
+        with build() as collector:
             collector.collect(clients, model, subset, rows=rows)
         _require(
             bool(np.array_equal(reference, subset)),
@@ -336,7 +320,7 @@ def main(argv=None) -> int:
     f = n_clients // 5
     collect_clients = 100  # the acceptance size for the collect stage
     collect_latency_s = 0.008
-    collect_workers = 4
+    collect_workers = 4  # the process backend's fleet size
 
     print(f"perf smoke: n_clients={n_clients} dim={dim} repeats={repeats}")
     gradients = make_population(n_clients, dim)
@@ -466,17 +450,14 @@ def main(argv=None) -> int:
     )
 
     # ------------------------------------------------------------------
-    # Collect stage: sequential loop vs 4-worker thread pool at n=100
+    # Collect stage at n=100: sequential, sampled, and the process fleet
     # ------------------------------------------------------------------
     check_collect_equivalence(16)
-    print(
-        "collect equivalence: OK "
-        "(threaded + process float64 bit-identical to sequential)"
-    )
+    print("collect equivalence: OK (process float64 bit-identical to sequential)")
     check_sampled_collect_equivalence(16)
     print(
         "sampled collect equivalence: OK "
-        "(non-contiguous subsets bit-identical across all three backends)"
+        "(non-contiguous subsets bit-identical on sequential + process)"
     )
     check_distributed_collect_equivalence(16)
     print(
@@ -493,19 +474,10 @@ def main(argv=None) -> int:
         name="collect_gradients/sequential",
         repeats=repeats,
     )
-    parallel_collector = ParallelCollector(collect_workers)
-    threaded_collect = run_benchmark(
-        lambda: parallel_collector.collect(clients, collect_model, collect_buffer),
-        name=f"collect_gradients/threaded{collect_workers}",
-        repeats=repeats,
-    )
-    parallel_collector.close()
-    collect_speedup = speedup(seed_collect, threaded_collect)
     print(
-        f"collect_gradients: sequential {seed_collect.best_s * 1e3:.0f} ms -> "
-        f"threaded({collect_workers}) {threaded_collect.best_s * 1e3:.0f} ms "
-        f"({collect_speedup:.2f}x, n={collect_clients}, "
-        f"{collect_latency_s * 1e3:.0f} ms simulated client latency)"
+        f"collect_gradients: sequential {seed_collect.best_s * 1e3:.0f} ms "
+        f"(n={collect_clients}, {collect_latency_s * 1e3:.0f} ms simulated "
+        "client latency)"
     )
 
     # Sampled round (participation_fraction=0.2): the collect stage's cost
@@ -537,78 +509,42 @@ def main(argv=None) -> int:
         f"({sampled_collect_speedup:.2f}x cheaper per round)"
     )
 
-    # Compute-bound variant (no latency): context only, no floor — on a
-    # single-core host the GIL serializes the Python share of the work and
-    # this hovers around 1x; multi-core hosts gain from parallel BLAS.
+    # Compute-bound variant (no latency) on the process backend: a local
+    # repro-worker fleet sidesteps the GIL, so this one carries a floor —
+    # enforced on multi-core hosts, where the paper's experiments actually
+    # run.  Plain BenignClients: the population is pickled to the workers,
+    # which cannot import this script's __main__ classes.
+    cpu_count = os.cpu_count() or 1
+    enforce_process_floor = cpu_count >= 2
     cpu_clients, cpu_model, cpu_buffer = make_collect_population(
-        collect_clients, latency_s=0.0
+        collect_clients, latency_s=0.0, plain_clients=True
     )
     cpu_sequential = run_benchmark(
         lambda: SequentialCollector().collect(cpu_clients, cpu_model, cpu_buffer),
         name="collect_gradients_cpu_bound/sequential",
         repeats=repeats,
     )
-    with ParallelCollector(collect_workers) as cpu_parallel:
-        cpu_threaded = run_benchmark(
-            lambda: cpu_parallel.collect(cpu_clients, cpu_model, cpu_buffer),
-            name=f"collect_gradients_cpu_bound/threaded{collect_workers}",
-            repeats=repeats,
-        )
-    cpu_collect_speedup = speedup(cpu_sequential, cpu_threaded)
-    print(
-        f"collect_gradients_cpu_bound: {cpu_collect_speedup:.2f}x "
-        "(context only; GIL-bound on single-core hosts)"
-    )
-
-    # Process backend on the same compute-bound workload: worker processes
-    # sidestep the GIL entirely, so this one carries a floor — enforced on
-    # multi-core hosts, where the paper's experiments actually run.
-    cpu_count = os.cpu_count() or 1
-    enforce_process_floor = cpu_count >= 2
-    proc_clients, proc_model, proc_buffer = make_collect_population(
-        collect_clients, latency_s=0.0
-    )
-    with ProcessCollector(collect_workers) as process_collector:
+    with make_collector(
+        backend="process", n_workers=collect_workers
+    ) as process_collector:
         process_collect = run_benchmark(
-            lambda: process_collector.collect(proc_clients, proc_model, proc_buffer),
+            lambda: process_collector.collect(cpu_clients, cpu_model, cpu_buffer),
             name=f"collect_gradients_cpu_bound/process{collect_workers}",
             repeats=repeats,
         )
+        process_bytes_round = sum(process_collector.last_round_bytes)
     process_collect_speedup = speedup(cpu_sequential, process_collect)
     print(
         f"collect_gradients_cpu_bound/process: {process_collect_speedup:.2f}x "
-        f"(cpu_count={cpu_count}, floor "
+        f"over TCP ({process_bytes_round / 2**20:.2f} MiB/round on the wire, "
+        f"cpu_count={cpu_count}, floor "
         f"{'enforced' if enforce_process_floor else 'skipped: single-core host'})"
-    )
-
-    # Distributed backend over a real two-worker localhost fleet: context
-    # only (multi-host scale is the point; localhost shares the cores), but
-    # the bytes-on-wire per round are the number deployments plan around.
-    distributed_workers = 2
-    dist_clients, dist_model, dist_buffer = make_collect_population(
-        collect_clients, latency_s=0.0, plain_clients=True
-    )
-    with spawn_local_fleet(distributed_workers) as fleet:
-        with DistributedCollector(fleet.addresses) as distributed_collector:
-            distributed_collect = run_benchmark(
-                lambda: distributed_collector.collect(
-                    dist_clients, dist_model, dist_buffer
-                ),
-                name=f"collect_gradients_cpu_bound/distributed{distributed_workers}",
-                repeats=repeats,
-            )
-            distributed_bytes_round = sum(distributed_collector.last_round_bytes)
-    distributed_collect_speedup = speedup(cpu_sequential, distributed_collect)
-    print(
-        f"collect_gradients_cpu_bound/distributed: "
-        f"{distributed_collect_speedup:.2f}x over TCP "
-        f"({distributed_bytes_round / 2**20:.2f} MiB/round on the wire, "
-        f"cpu_count={cpu_count}; context, no floor)"
     )
 
     # ------------------------------------------------------------------
     # Wire codecs: shard traffic per round under each negotiated codec
     # ------------------------------------------------------------------
+    distributed_workers = 2
     # Fresh population and fleet per codec; run_benchmark's warmup pass
     # absorbs the handshake + setup round, so the timed collects — and the
     # byte counters read afterwards — are steady-state rounds.
@@ -657,7 +593,13 @@ def main(argv=None) -> int:
             num_clients=15,
             seed=0,
             data=DataConfig(dataset="mnist_like", num_train=300, num_test=100),
-            training=TrainingConfig(model="mlp", rounds=5, batch_size=16, n_workers=2),
+            training=TrainingConfig(
+                model="mlp",
+                rounds=5,
+                batch_size=16,
+                n_workers=2,
+                collect_backend="process",
+            ),
             defense=DefenseConfig(name="signguard"),
         ),
         profiler=profiler,
@@ -712,9 +654,6 @@ def main(argv=None) -> int:
         bench.extra.update({"n_clients": n_clients, "dim": dim, **extra})
         results.append(bench)
     seed_collect.extra.update(collect_extra)
-    threaded_collect.extra.update(
-        {**collect_extra, "speedup_vs_sequential": collect_speedup}
-    )
     sampled_collect.extra.update(
         {
             **collect_extra,
@@ -724,26 +663,14 @@ def main(argv=None) -> int:
         }
     )
     cpu_sequential.extra.update(cpu_extra)
-    cpu_threaded.extra.update(
-        {**cpu_extra, "speedup_vs_sequential": cpu_collect_speedup}
-    )
     process_collect.extra.update(
         {
             **cpu_extra,
             "speedup_vs_sequential": process_collect_speedup,
             "cpu_count": cpu_count,
-            "floor_enforced": enforce_process_floor,
-        }
-    )
-    distributed_collect.extra.update(
-        {
-            **cpu_extra,
-            "n_workers": distributed_workers,
-            "speedup_vs_sequential": distributed_collect_speedup,
-            "cpu_count": cpu_count,
-            "bytes_per_round": distributed_bytes_round,
+            "bytes_per_round": process_bytes_round,
             "transport": "tcp localhost (repro-worker subprocesses)",
-            "floor_enforced": False,
+            "floor_enforced": enforce_process_floor,
         }
     )
     for codec_bench in codec_benches:
@@ -760,12 +687,9 @@ def main(argv=None) -> int:
     results.extend(
         [
             seed_collect,
-            threaded_collect,
             sampled_collect,
             cpu_sequential,
-            cpu_threaded,
             process_collect,
-            distributed_collect,
             *codec_benches,
         ]
     )
@@ -782,6 +706,7 @@ def main(argv=None) -> int:
             "simulated_client_latency_s": collect_latency_s,
             "bit_identical_to_sequential": True,
             "cpu_count": cpu_count,
+            "process_bytes_per_round": process_bytes_round,
             "process_floor_enforced": enforce_process_floor,
         },
         "participation": {
@@ -791,7 +716,6 @@ def main(argv=None) -> int:
         },
         "distributed": {
             "n_workers": distributed_workers,
-            "bytes_per_round": distributed_bytes_round,
             "bytes_per_round_by_codec": codec_bytes_by_name,
             "compression_vs_raw_by_codec": codec_compression,
             "cpu_count": cpu_count,
@@ -805,11 +729,8 @@ def main(argv=None) -> int:
             "bulyan": bulyan_speedup,
             "meanshift": meanshift_speedup,
             "meanshift_binned_vs_unbinned": binned_meanshift_speedup,
-            "collect_gradients": collect_speedup,
             "collect_gradients_sampled_vs_full": sampled_collect_speedup,
-            "collect_gradients_cpu_bound": cpu_collect_speedup,
             "collect_gradients_cpu_bound_process": process_collect_speedup,
-            "collect_gradients_cpu_bound_distributed": distributed_collect_speedup,
         },
     }
     if args.check:
@@ -836,11 +757,6 @@ def main(argv=None) -> int:
     _require(
         meanshift_speedup >= 1.0,
         f"Mean-Shift regressed below seed: {meanshift_speedup:.2f}x",
-    )
-    _require(
-        collect_speedup >= 2.0,
-        f"threaded collect speedup regressed: {collect_speedup:.2f}x < 2.0x "
-        f"(n={collect_clients}, {collect_workers} workers)",
     )
     _require(
         sampled_collect_speedup >= 2.0,

@@ -14,10 +14,10 @@ This example demonstrates three properties, all on one machine:
    a thread-fleet worker mid-run; the collector re-dispatches the dead
    worker's clients to the survivors and the run stays *bit-identical*
    to a healthy sequential run — zero dropouts.
-2. **Quorum policies.**  On the in-process thread backend (no survivors
-   to re-dispatch to within a pool), the same fault degrades the round
-   to dropouts; `min_cohort_fraction` decides whether the degraded round
-   is accepted, retried, or aborts the run.
+2. **Quorum policies.**  On a two-worker ``process`` fleet with
+   re-dispatch switched off, a severed link degrades the round to
+   dropouts; `min_cohort_fraction` decides whether the degraded round is
+   accepted, retried, or aborts the run.
 3. **Kill and resume.**  A run checkpointing every 2 rounds is killed by
    an unrecoverable outage; resuming from the snapshot reproduces the
    uninterrupted baseline exactly.
@@ -42,8 +42,21 @@ from repro import (
     TrainingConfig,
     run_experiment,
 )
-from repro.fl import FaultSchedule, FleetOutageError, QuorumLossError
+from repro.aggregators import build_aggregator
+from repro.attacks import build_attack
+from repro.data import build_dataset, partition_dataset
+from repro.fl import (
+    FaultSchedule,
+    FederatedServer,
+    FederatedSimulation,
+    FleetOutageError,
+    QuorumLossError,
+    build_clients,
+    make_collector,
+)
 from repro.fl.transport import start_thread_fleet
+from repro.nn.models import build_model
+from repro.utils.rng import RngFactory
 
 
 def make_config(**training) -> ExperimentConfig:
@@ -81,22 +94,55 @@ def chaos_with_redispatch() -> None:
     assert same and all(r.num_dropped == 0 for r in faulted)
 
 
+def quorum_simulation(on_quorum_loss: str) -> FederatedSimulation:
+    """16 clients on a two-worker process fleet that never re-dispatches.
+
+    The link to worker 1 (owning half the clients) is severed on the 3rd
+    round.  With re-dispatch off nobody recomputes its clients, so they
+    degrade to dropouts and the cohort falls to 50% — below the 75%
+    quorum.  The policy decides the round's fate.
+    """
+    factory = RngFactory(11)
+    split = build_dataset(
+        "mnist_like", num_train=480, num_test=160, rng=factory.make("data")
+    )
+    partitions = partition_dataset(
+        split.train, 16, scheme="iid", rng=factory.make("partition")
+    )
+    clients = build_clients(
+        split.train, partitions, [], batch_size=16, rng_factory=factory
+    )
+    model = build_model("mlp", split.spec, rng=factory.make("model"))
+    server = FederatedServer(
+        model, build_aggregator("signguard", {}), rng=factory.make("server")
+    )
+    collector = make_collector(
+        backend="process",
+        n_workers=2,
+        redispatch=False,
+        fault_schedule=FaultSchedule.from_args(["crash@3"], worker=1),
+    )
+    return FederatedSimulation(
+        server,
+        clients,
+        build_attack("no_attack", {}),
+        split.test,
+        collector=collector,
+        min_cohort_fraction=0.75,
+        on_quorum_loss=on_quorum_loss,
+        seed=11,
+    )
+
+
 def quorum_policies() -> None:
-    print("\n=== 2. Quorum policies on a degraded collect pool ===")
+    print("\n=== 2. Quorum policies on a degraded process fleet ===")
 
     def run_with_policy(on_quorum_loss: str):
-        # Thread-pool worker 1 (owning half the 16 clients) crashes on
-        # its 3rd round; in-process pools have no re-dispatch, so those
-        # clients degrade to dropouts and the cohort falls to 50% —
-        # below the 75% quorum.  The policy decides the round's fate.
-        config = make_config(
-            collect_backend="thread",
-            n_workers=2,
-            min_cohort_fraction=0.75,
-            on_quorum_loss=on_quorum_loss,
-        )
-        chaos = FaultSchedule.from_args(["crash@3"], worker=1)
-        return run_experiment(config, fault_schedule=chaos)
+        simulation = quorum_simulation(on_quorum_loss)
+        try:
+            return simulation.run(6)
+        finally:
+            simulation.close()
 
     accepted = run_with_policy("accept")
     degraded = [r.round_index for r in accepted if not r.quorum_met]

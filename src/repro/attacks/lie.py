@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.attacks.base import Attack, AttackContext
 
@@ -39,6 +38,11 @@ def lie_z_max(num_clients: int, num_byzantine: int) -> float:
     quantile = supporters / denominator
     # Guard against degenerate setups where the quantile is not in (0, 1).
     quantile = float(np.clip(quantile, 1e-6, 1 - 1e-6))
+    # Imported here, its only use: scipy.stats costs about a second of
+    # import time that every ``repro`` import (each spawned worker
+    # included) would otherwise pay.
+    from scipy.stats import norm
+
     return float(norm.ppf(quantile))
 
 

@@ -19,8 +19,6 @@ from repro.fl.collector import (
     COLLECT_BACKENDS,
     COLLECTOR_REGISTRY,
     GradientCollector,
-    ParallelCollector,
-    ProcessCollector,
     SequentialCollector,
     build_collector,
     make_collector,
@@ -77,8 +75,6 @@ __all__ = [
     "build_clients",
     "GradientCollector",
     "SequentialCollector",
-    "ParallelCollector",
-    "ProcessCollector",
     "DistributedCollector",
     "build_collector",
     "make_collector",

@@ -102,7 +102,7 @@ class Checkpoint:
     #: ``RunRecorder.to_dict()`` of the history so far.
     recorder_state: Dict[str, Any] = field(default_factory=dict)
     #: Per-client wire-codec state by client id (topk error-feedback
-    #: residuals; ``{}`` for stateless codecs and in-process backends).
+    #: residuals; ``{}`` for stateless codecs and the sequential backend).
     codec_states: Dict[int, np.ndarray] = field(default_factory=dict)
     #: ``ExperimentConfig.to_dict()`` echo, used to refuse resuming under a
     #: different config (``None`` when captured outside ``run_experiment``).

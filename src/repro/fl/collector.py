@@ -1,63 +1,57 @@
 """Gradient collection strategies for the federated round.
 
-``collect_gradients`` dominates the profiled round (~65% of wall time in the
-PR-1 baseline) and the clients are independent, so this module provides the
-collect stage as a pluggable strategy:
+``collect_gradients`` dominates the round (client training is ~95% of a
+paper-size round) and the clients are independent, so the collect stage is
+a pluggable strategy with two implementations:
 
 * :class:`SequentialCollector` — the seed behaviour: one client after the
-  other against the shared global model.
-* :class:`ParallelCollector` — fans ``compute_gradient`` calls over a
-  persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Each worker
-  owns a private replica of the model (gradient buffers and layer caches are
-  per-worker scratch space), synchronized with the global parameters *and
-  buffers* before dispatch, and writes each client's gradient directly into
-  that client's row of the preallocated round buffer.  Best when clients
-  spend their time waiting (simulated dispatch latency, BLAS calls that
-  release the GIL); pure-Python compute stays serialized by the GIL.
-* :class:`ProcessCollector` — persistent worker *processes*, each holding a
-  replica of the model and its chunk of the client population.  Per round the
-  parent ships the global ``Module.state_dict()`` (parameters + buffers)
-  through a pipe; workers write gradients straight into a
-  ``multiprocessing.shared_memory`` round buffer, so no per-round gradient
-  pickling occurs in either direction.  This recovers *compute* parallelism
-  on GIL-bound hosts at the cost of a per-round parameter broadcast — it wins
-  once per-round client compute dwarfs ``n_workers × model size`` of
-  pickling.
+  other against the shared global model, in this process.
 * :class:`~repro.fl.transport.collector.DistributedCollector` (in
-  :mod:`repro.fl.transport`) — the same contract across TCP: a fleet of
-  ``repro-worker`` hosts each serving a population shard, with a per-round
-  state-dict broadcast and one raw-frame gather per worker.  The only
-  backend with partial-failure semantics: a dead or timed-out worker's
-  rows surface in :attr:`GradientCollector.failed_rows` and the simulation
-  demotes them to round-plan dropouts.
+  :mod:`repro.fl.transport`) — the parallel path: a fleet of
+  ``repro-worker`` servers each holding a shard of the client population,
+  with a per-round state-dict broadcast and one raw-frame gather per
+  worker.  It owns the recovery ladder (retry → re-dispatch → demote), the
+  gradient wire codecs and the worker-side client RNG state that
+  checkpoints capture.
+
+Three backend names map onto them (:data:`COLLECT_BACKENDS`):
+``"sequential"``; ``"process"``, which at ``n_workers >= 2`` spawns a local
+fleet of ``n_workers`` ``repro-worker`` subprocesses
+(:func:`~repro.fl.transport.fleet.spawn_local_fleet`) and drives it through
+a ``DistributedCollector`` that terminates the fleet on :meth:`close`
+(``n_workers <= 1`` stays sequential); and ``"distributed"``, which drives
+the fleet named by ``workers=[host:port, ...]``.  Clients shipped to a
+fleet are pickled by reference, so their classes must be importable (a
+client class defined in a script's ``__main__`` runs on ``"sequential"``
+only).
 
 Determinism
 -----------
 
-The parallel paths are **bit-identical** to the sequential path at float64
-(and at float32), regardless of scheduling, because
+The fleet path is **bit-identical** to the sequential path at float64 (and
+at float32), regardless of scheduling, because
 
 1. every client owns its batch-sampling RNG — a
    :class:`~repro.utils.rng.RngFactory` child stream seeded at construction
    time, *before* any dispatch — and is invoked exactly once per round, so
    its stream advances identically however work is interleaved;
-2. worker replicas carry parameter and buffer values copied verbatim from
-   the global model, so every client evaluates the same function in any
-   mode; and
+2. worker replicas load parameter and buffer values verbatim from the
+   global model's broadcast, so every client evaluates the same function
+   on either path; and
 3. layers with non-parameter state updated during the forward pass
    (BatchNorm running statistics) log their per-batch statistics on the
    replicas, and the collector replays those updates onto the *global*
    model in client order after the round — the same floating-point
    operations, in the same order, the sequential path performs.  Evaluation
-   metrics therefore match exactly between all backends.
+   metrics therefore match exactly between the backends.
 
 Models whose *forward pass itself* draws randomness from model-owned
 generators (a ``Dropout`` layer holding its own RNG) cannot satisfy the
 guarantee: the mask stream is consumed in client-visit order on the shared
-sequential model but per-chunk on each replica.  Rather than silently
-diverging, the parallel collectors detect such models and raise
-``ValueError`` — run them with ``n_workers=1``.  (No built-in model uses
-Dropout in federated rounds.)
+sequential model but per-shard on each replica.  Rather than silently
+diverging, the fleet path detects such models and raises ``ValueError`` —
+run them with ``n_workers=1``.  (No built-in model uses Dropout in
+federated rounds.)
 
 Failure semantics
 -----------------
@@ -77,23 +71,14 @@ subset of client positions (a :class:`~repro.fl.participation.RoundPlan`'s
 computing set).  Only those clients run, row ``k`` of the (now
 cohort-sized) buffer holds ``clients[rows[k]]``'s gradient, and BatchNorm
 statistics are replayed in buffer-row order, which equals ascending client
-order for every backend.  Non-selected clients are never invoked, so their
+order on both paths.  Non-selected clients are never invoked, so their
 RNG streams stay untouched and any participation schedule remains
-bit-reproducible.  The process backend keeps its persistent per-worker
-chunks of the *full* population (the client RNG streams live in-worker)
-and ships each worker its slice of the round's subset, so sampled rounds
-reuse the same worker processes as full rounds.
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-import copy
-import multiprocessing
-import os
-import pickle
-from concurrent.futures import ThreadPoolExecutor, wait
-from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,19 +90,14 @@ from repro.perf.timers import monotonic
 from repro.utils.registry import Registry
 
 #: (worker_label, seconds, clients_processed) for one collect call.  The
-#: label is the worker's integer index for in-process backends and the
-#: worker's ``host:port`` address for the distributed backend; consumers
-#: must treat it as an opaque stage suffix, not an array index.
+#: label is ``0`` for the sequential pseudo-worker and the worker's
+#: ``host:port`` address on the fleet path; consumers must treat it as an
+#: opaque stage suffix, not an array index.
 WorkerTiming = Tuple[Union[int, str], float, int]
 
 #: Per-client batch-norm statistics: one ``[(mean, var), ...]`` list (one
 #: entry per training forward) per batch-norm module, in module order.
 ClientBatchStats = List[List[Tuple[np.ndarray, np.ndarray]]]
-
-
-def default_worker_count(limit: int = 8) -> int:
-    """A reasonable worker count for the current machine, capped at ``limit``."""
-    return max(1, min(limit, os.cpu_count() or 1))
 
 
 def invalidate_buffer(out: np.ndarray) -> None:
@@ -198,47 +178,6 @@ def _collect_client(
             module.stats_log = None
 
 
-def _collect_sequential(
-    clients: Sequence[FederatedClient],
-    model: Module,
-    out: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-    apply_batch_stats: bool = True,
-) -> List[WorkerTiming]:
-    """The shared sequential loop; returns a single pseudo-worker timing.
-
-    ``apply_batch_stats=False`` restores the model's BatchNorm running
-    statistics afterwards (the training forward rebinds, never mutates, the
-    buffer arrays, so saving the references suffices) — used for straggler
-    gradients, whose discarded submission must not leak state into the
-    global model.
-    """
-    saved_stats = (
-        []
-        if apply_batch_stats
-        else [
-            (module, module.running_mean, module.running_var)
-            for module in _batch_stat_modules(model)
-        ]
-    )
-    invalidate_buffer(out)
-    start = monotonic()
-    try:
-        if rows is None:
-            for row, client in enumerate(clients):
-                out[row] = client.compute_gradient(model)
-            count = len(clients)
-        else:
-            for buffer_row, client_row in enumerate(rows):
-                out[buffer_row] = clients[client_row].compute_gradient(model)
-            count = len(rows)
-    finally:
-        for module, running_mean, running_var in saved_stats:
-            module.running_mean = running_mean
-            module.running_var = running_var
-    return [(0, monotonic() - start, count)]
-
-
 def _stochastic_forward_modules(model: Module) -> List[str]:
     """Names of sub-modules whose forward pass consumes a model-owned RNG."""
     return [
@@ -273,19 +212,18 @@ class GradientCollector:
     n_workers: int = 1
 
     #: Client ids the last ``collect`` failed to obtain gradients for —
-    #: empty for in-process backends (they raise on real errors) unless a
+    #: empty for the sequential backend (it raises on real errors) unless a
     #: :class:`~repro.fl.faults.FaultSchedule` injected a failure; the
-    #: distributed backend reports dead/timed-out workers' unrecovered
-    #: rows here so the simulation can demote them to ``RoundPlan``
-    #: dropouts.
+    #: fleet path reports dead/timed-out workers' unrecovered rows here so
+    #: the simulation can demote them to ``RoundPlan`` dropouts.
     failed_rows: Tuple[int, ...] = ()
 
     #: ``(bytes_sent, bytes_received)`` on the wire for the last
-    #: ``collect`` — (0, 0) for in-process backends.
+    #: ``collect`` — (0, 0) for the sequential backend.
     last_round_bytes: Tuple[int, int] = (0, 0)
 
     #: Client ids the last ``collect`` recovered by re-dispatching to
-    #: surviving workers — only the distributed backend ever recovers.
+    #: surviving workers — only the fleet path ever recovers.
     last_round_redispatched: Tuple[int, ...] = ()
 
     #: Successful worker reconnects during the last ``collect``.
@@ -296,9 +234,9 @@ class GradientCollector:
         #: Deterministic fault injection: a spec for worker ``w`` at
         #: occurrence ``r`` makes that worker's rows fail (uncomputed, RNG
         #: streams untouched) at this collector's ``r``-th main collect
-        #: pass.  In-process workers have no link to sever and nothing to
-        #: re-dispatch from, so an injected fault of *any* kind degrades
-        #: straight to the demote rung of the recovery ladder.
+        #: pass.  The sequential backend has no link to sever and nothing
+        #: to re-dispatch from, so a fault of *any* kind on its single
+        #: pseudo-worker 0 degrades straight to the demote rung.
         self.fault_schedule = fault_schedule or FaultSchedule()
         self._fault_rounds = 0
 
@@ -312,37 +250,21 @@ class GradientCollector:
             self._fault_rounds += 1
         return self._fault_rounds
 
-    def _faulted_workers(self, fault_round: int, workers: int) -> Set[int]:
-        """Worker indices whose schedule fires on this collect pass.
-
-        Each backend maps the faulted workers onto client ids with its own
-        row→worker assignment (sequential: worker 0 owns everything;
-        thread: buffer position mod workers; process: client id mod
-        workers).
-        """
-        if not self.fault_schedule:
-            return set()
-        return {
-            worker
-            for worker in range(workers)
-            if self.fault_schedule.any_fires(fault_round, worker)
-        }
-
     def client_rng_states(self) -> Dict[int, dict]:
         """Latest known per-client RNG states held *outside* the caller.
 
-        Backends whose client batch-sampler streams live in worker
-        processes (process, distributed) report them here so checkpoints
-        capture the authoritative state; ``{}`` means the caller's client
-        objects are authoritative (sequential, thread).
+        The fleet path, whose client batch-sampler streams live in worker
+        processes, reports them here so checkpoints capture the
+        authoritative state; ``{}`` means the caller's client objects are
+        authoritative (sequential).
         """
         return {}
 
     def codec_states(self) -> Dict[int, np.ndarray]:
         """Per-client wire-codec state (topk error-feedback residuals).
 
-        Only the distributed backend with a stateful wire codec has any;
-        every other backend/codec combination reports ``{}``.  Captured in
+        Only the fleet path with a stateful wire codec has any; every
+        other backend/codec combination reports ``{}``.  Captured in
         checkpoints next to the RNG states and restored via
         :meth:`load_codec_states`.
         """
@@ -375,6 +297,15 @@ class GradientCollector:
         """
         raise NotImplementedError
 
+    def reset(self) -> None:
+        """Forget worker-held copies of the clients and model.
+
+        The next ``collect`` rebuilds them from the caller's objects — a
+        checkpoint restore calls this after rewriting those objects.  The
+        default is :meth:`close`, for collectors whose close is not final.
+        """
+        self.close()
+
     def close(self) -> None:
         """Release worker resources (idempotent)."""
 
@@ -398,529 +329,45 @@ class SequentialCollector(GradientCollector):
         apply_batch_stats: bool = True,
     ) -> np.ndarray:
         subset = resolve_rows(clients, out, rows)
+        row_ids = range(len(clients)) if subset is None else subset
         self.failed_rows = ()
+        invalidate_buffer(out)
         fault_round = self._advance_fault_round(apply_batch_stats)
-        if self._faulted_workers(fault_round, 1):
+        if self.fault_schedule.any_fires(fault_round):
             # The single pseudo-worker owns every row: a fault here is a
             # total outage.  Nothing computes, no RNG stream advances.
-            invalidate_buffer(out)
-            self.failed_rows = tuple(
-                range(len(clients)) if subset is None else (int(r) for r in subset)
-            )
+            self.failed_rows = tuple(int(row) for row in row_ids)
             self.worker_timings = [(0, 0.0, 0)]
             return out
-        self.worker_timings = _collect_sequential(
-            clients, model, out, subset, apply_batch_stats
-        )
-        return out
-
-
-class ParallelCollector(GradientCollector):
-    """Threaded collect stage over per-worker model replicas.
-
-    Args:
-        n_workers: thread count.  ``None`` picks
-            :func:`default_worker_count`.  A value of 1 degenerates to the
-            sequential strategy (shared model, no replicas), which is the
-            determinism-sensitive default used by the test suite.
-
-    The executor and the replicas persist across rounds: thread spawn and
-    model deep-copy are paid once, and each round only copies the current
-    global parameters and buffers into the replicas (a memcpy that is
-    negligible next to the gradient computation itself).
-
-    Client ``i`` is assigned to worker ``i % n_workers``; the mapping is
-    deterministic but irrelevant to the results (see the module docstring).
-    Exceptions raised by any client propagate to the caller after the
-    round's remaining workers finish their chunks; the round buffer rows the
-    failed round did not produce are left NaN-invalidated.
-    """
-
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        *,
-        fault_schedule: Optional[FaultSchedule] = None,
-    ):
-        super().__init__(fault_schedule=fault_schedule)
-        if n_workers is None:
-            n_workers = default_worker_count()
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._replicas: List[Module] = []
-        self._source: Optional[Module] = None
-
-    def _ensure_workers(self, model: Module, workers: int) -> None:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="collect"
-            )
-        stale = (
-            self._source is not model
-            or len(self._replicas) < workers
-            or (self._replicas and self._replicas[0].dtype != model.dtype)
-        )
-        if stale:
-            self._replicas = [copy.deepcopy(model) for _ in range(workers)]
-            self._source = model
-
-    def _sync_replicas(self, model: Module, workers: int) -> None:
-        # One state dict (parameters + buffers) loaded into every replica:
-        # BatchNorm running statistics cannot drift across rounds.
-        state = model.state_dict()
-        for replica in self._replicas[:workers]:
-            replica.load_state_dict(state)
-
-    def collect(
-        self,
-        clients: Sequence[FederatedClient],
-        model: Module,
-        out: np.ndarray,
-        rows: Optional[Sequence[int]] = None,
-        *,
-        apply_batch_stats: bool = True,
-    ) -> np.ndarray:
-        subset = resolve_rows(clients, out, rows)
-        n_rows = len(clients) if subset is None else len(subset)
-        workers = min(self.n_workers, n_rows)
-        self.failed_rows = ()
-        fault_round = self._advance_fault_round(apply_batch_stats)
-        if workers <= 1:
-            if self._faulted_workers(fault_round, 1):
-                invalidate_buffer(out)
-                self.failed_rows = tuple(
-                    range(len(clients))
-                    if subset is None
-                    else (int(r) for r in subset)
-                )
-                self.worker_timings = [(0, 0.0, 0)]
-                return out
-            self.worker_timings = _collect_sequential(
-                clients, model, out, subset, apply_batch_stats
-            )
-            return out
-
-        _check_deterministic_forward(model, type(self).__name__)
-        self._ensure_workers(model, workers)
-        self._sync_replicas(model, workers)
-        invalidate_buffer(out)
-        # A faulted worker's chunk is skipped wholesale: its rows stay
-        # NaN-invalidated, its clients never run (RNG streams untouched),
-        # and the caller sees them in ``failed_rows``.
-        faulted = self._faulted_workers(fault_round, workers)
-        # Workers run on replicas (re-synced every round), so suppressing
-        # batch stats only requires skipping the replay onto the global
-        # model.
-        track_stats = apply_batch_stats and bool(_batch_stat_modules(model))
-        stats_by_row: List[Tuple[int, ClientBatchStats]] = []
-
-        def run_chunk(worker_index: int) -> WorkerTiming:
-            replica = self._replicas[worker_index]
-            stat_modules = _batch_stat_modules(replica) if track_stats else []
-            start = monotonic()
-            count = 0
-            for row in range(worker_index, n_rows, workers):
-                client = clients[row if subset is None else subset[row]]
-                stats = _collect_client(client, replica, out[row], stat_modules)
-                if track_stats:
-                    stats_by_row.append((row, stats))
-                count += 1
-            return worker_index, monotonic() - start, count
-
-        live = [w for w in range(workers) if w not in faulted]
-        futures = [self._executor.submit(run_chunk, w) for w in live]
-        wait(futures)  # let every worker finish its chunk before reporting
-        # result() re-raises the first failing client's exception.
-        self.worker_timings = [future.result() for future in futures]
-        self.worker_timings.extend((w, 0.0, 0) for w in sorted(faulted))
-        if faulted:
-            self.failed_rows = tuple(
-                int(position if subset is None else subset[position])
-                for position in range(n_rows)
-                if position % workers in faulted
-            )
-        if track_stats:
-            _replay_batch_stats(model, stats_by_row)
-        return out
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._replicas = []
-        self._source = None
-
-
-def _process_worker_main(
-    conn,
-    worker_index: int,
-    rows: List[int],
-    clients: List[FederatedClient],
-    model: Module,
-    shm_name: str,
-    shape: Tuple[int, int],
-    dtype_str: str,
-) -> None:
-    """Loop of one persistent collect worker process.
-
-    Receives ``(state_dict, selected_rows)`` per round (``None`` = shut
-    down), computes the selected slice of its client chunk into the
-    shared-memory round buffer (``selected_rows=None`` = the whole chunk,
-    ``[]`` = nothing — a fault-injected pass that must leave the in-worker
-    RNG streams untouched), and replies with timings, per-client losses,
-    recorded batch statistics, the post-round batch-sampler RNG states of
-    the clients that computed, and the first client exception (if any).
-    """
-    # Workers share the parent's resource tracker (the fd travels through
-    # both fork and spawn), so attaching here is tracker-idempotent and the
-    # parent's single unlink() owns the segment's lifetime.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    buffer = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-    stat_modules = _batch_stat_modules(model)
-    client_by_row = dict(zip(rows, clients))
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            state, selected = message
-            model.load_state_dict(state)
-            start = monotonic()
-            count = 0
-            losses: List[Tuple[int, float]] = []
-            stats: List[Tuple[int, ClientBatchStats]] = []
-            error: Optional[BaseException] = None
-            for row in rows if selected is None else selected:
-                client = client_by_row[row]
-                try:
-                    client_stats = _collect_client(
-                        client, model, buffer[row], stat_modules
-                    )
-                except BaseException as exc:  # propagate to the parent
-                    error = exc
-                    break
-                count += 1
-                losses.append((row, client.last_loss))
-                stats.append((row, client_stats))
-            if error is not None:
-                try:
-                    pickle.dumps(error)
-                except Exception:
-                    error = RuntimeError(
-                        f"unpicklable client exception in collect worker "
-                        f"{worker_index}: {error!r}"
-                    )
-            rng_states = {
-                row: client_by_row[row].loader.rng_state for row, _ in losses
-            }
-            conn.send(
-                (
-                    worker_index,
-                    monotonic() - start,
-                    count,
-                    losses,
-                    stats,
-                    rng_states,
-                    error,
-                )
-            )
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        del buffer
-        shm.close()
-        conn.close()
-
-
-class ProcessCollector(GradientCollector):
-    """Process-pool collect stage over a shared-memory round buffer.
-
-    Args:
-        n_workers: process count.  ``None`` picks
-            :func:`default_worker_count`.  A value of 1 degenerates to the
-            in-process sequential strategy.
-        mp_context: multiprocessing start method (``"fork"`` where available
-            — cheap, and test-local client classes need no pickling — else
-            ``"spawn"``).
-
-    The workers persist across rounds.  At first use each worker receives —
-    once — its chunk of the client population (client ``i`` goes to worker
-    ``i % n_workers``, the same mapping the threaded backend uses) and a
-    replica of the model.  Per round the parent broadcasts the global
-    ``state_dict()`` (parameters + buffers) plus each worker's slice of the
-    round's participating rows (``None`` = the whole chunk) and
-    NaN-invalidates the shared-memory buffer; workers load the state,
-    compute the selected clients' gradients directly into the
-    population-sized shared buffer, and reply with timings, per-client
-    losses, and recorded BatchNorm batch statistics (replayed onto the
-    global model in client order, see the module docstring).  The parent
-    then gathers the participating rows into the caller's (cohort-sized)
-    round buffer, so sampled rounds reuse the same persistent workers —
-    and the same in-worker client RNG streams — as full rounds.
-
-    Client batch-sampling RNG streams live *inside* the owning worker and
-    advance exactly once per round, so results are bit-identical to the
-    sequential path at any worker count.  The parent's client objects only
-    mirror ``last_loss``.
-
-    Exceptions raised by any client are re-raised in the parent after all
-    workers finish their chunks, matching the threaded backend.
-    """
-
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        *,
-        mp_context: Optional[str] = None,
-        fault_schedule: Optional[FaultSchedule] = None,
-    ):
-        super().__init__(fault_schedule=fault_schedule)
-        if n_workers is None:
-            n_workers = default_worker_count()
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = int(n_workers)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._shm_array: Optional[np.ndarray] = None
-        # Strong references to the population/model the workers were built
-        # from (identity comparison only — never by id(), which CPython
-        # recycles after garbage collection) plus the buffer geometry.
-        self._source_clients: Optional[Tuple[FederatedClient, ...]] = None
-        self._source_model: Optional[Module] = None
-        self._source_geometry: Optional[tuple] = None
-        # Last reported in-worker batch-sampler RNG state per client id.
-        # Survives _teardown() (an error-path rebuild must not lose the
-        # checkpointable states) but not close(): after a checkpoint
-        # restore rewrites the parent's client objects, close() makes them
-        # authoritative again.
-        self._rng_states: Dict[int, dict] = {}
-
-    def client_rng_states(self) -> Dict[int, dict]:
-        return dict(self._rng_states)
-
-    def _workers_current(
-        self,
-        clients: Sequence[FederatedClient],
-        model: Module,
-        out: np.ndarray,
-        workers: int,
-    ) -> bool:
-        # Geometry is keyed on the *population* (the shared buffer holds one
-        # row per client), not the caller's round buffer, whose row count
-        # varies with the cohort under partial participation.
-        return bool(
-            self._procs
-            and self._source_model is model
-            and self._source_clients is not None
-            and len(self._source_clients) == len(clients)
-            and all(a is b for a, b in zip(self._source_clients, clients))
-            and self._source_geometry
-            == (model.dtype, len(clients), out.shape[-1], out.dtype, workers)
-        )
-
-    def _ensure_workers(
-        self,
-        clients: Sequence[FederatedClient],
-        model: Module,
-        out: np.ndarray,
-        workers: int,
-    ) -> None:
-        if self._workers_current(clients, model, out, workers):
-            return
-        self._teardown()
-        n_clients = len(clients)
-        dim = out.shape[-1]
-        shm_shape = (n_clients, dim)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=n_clients * dim * out.dtype.itemsize
-        )
-        self._shm_array = np.ndarray(shm_shape, dtype=out.dtype, buffer=self._shm.buf)
-        for worker_index in range(workers):
-            parent_conn, child_conn = self._ctx.Pipe()
-            rows = list(range(worker_index, n_clients, workers))
-            process = self._ctx.Process(
-                target=_process_worker_main,
-                args=(
-                    child_conn,
-                    worker_index,
-                    rows,
-                    [clients[row] for row in rows],
-                    model,
-                    self._shm.name,
-                    shm_shape,
-                    out.dtype.str,
-                ),
-                daemon=True,
-                name=f"collect-{worker_index}",
-            )
-            process.start()
-            child_conn.close()
-            self._procs.append(process)
-            self._conns.append(parent_conn)
-        self._source_clients = tuple(clients)
-        self._source_model = model
-        self._source_geometry = (model.dtype, n_clients, dim, out.dtype, workers)
-
-    def collect(
-        self,
-        clients: Sequence[FederatedClient],
-        model: Module,
-        out: np.ndarray,
-        rows: Optional[Sequence[int]] = None,
-        *,
-        apply_batch_stats: bool = True,
-    ) -> np.ndarray:
-        n_clients = len(clients)
-        subset = resolve_rows(clients, out, rows)
-        # The worker count follows the *population*, not the round subset:
-        # worker processes own their clients' RNG streams, so every round —
-        # however small its cohort — must route through the same workers.
-        workers = min(self.n_workers, n_clients)
-        self.failed_rows = ()
-        fault_round = self._advance_fault_round(apply_batch_stats)
-        if workers <= 1:
-            if self._faulted_workers(fault_round, 1):
-                invalidate_buffer(out)
-                self.failed_rows = tuple(
-                    range(n_clients) if subset is None else (int(r) for r in subset)
-                )
-                self.worker_timings = [(0, 0.0, 0)]
-                return out
-            self.worker_timings = _collect_sequential(
-                clients, model, out, subset, apply_batch_stats
-            )
-            return out
-
-        _check_deterministic_forward(model, type(self).__name__)
-        self._ensure_workers(clients, model, out, workers)
-        assert self._shm_array is not None
-        # A faulted worker stays alive but is sent an empty selection: its
-        # clients never compute, their in-worker RNG streams stay put, and
-        # their (NaN) rows surface in ``failed_rows``.  Worker ``w`` owns
-        # client ids ``w::workers`` of the population, so faulted ids are
-        # keyed on client id, not buffer position.
-        faulted = self._faulted_workers(fault_round, workers)
-        if faulted:
-            round_ids = range(n_clients) if subset is None else subset
-            self.failed_rows = tuple(
-                int(client_id)
-                for client_id in round_ids
-                if client_id % workers in faulted
-            )
-        # Invalidate the caller's buffer as well as the shared one: if a
-        # worker dies before replying, ``out`` must not keep the previous
-        # round's rows.  On a sampled round only the cohort's rows need it —
-        # the gather below never reads the others — so invalidation cost
-        # scales with the cohort, not the population.
-        invalidate_buffer(out)
-        if subset is None:
-            invalidate_buffer(self._shm_array)
-        else:
-            self._shm_array[subset] = np.nan
-        state = model.state_dict()
-        if subset is None:
-            selected_by_worker: List[Optional[List[int]]] = [None] * workers
-        else:
-            selected_by_worker = [
-                [int(row) for row in subset if row % workers == worker_index]
-                for worker_index in range(workers)
+        # apply_batch_stats=False restores the BatchNorm running statistics
+        # afterwards (the training forward rebinds, never mutates, the
+        # buffer arrays, so saving the references suffices): a straggler's
+        # discarded submission must not leak state into the global model.
+        saved_stats = (
+            []
+            if apply_batch_stats
+            else [
+                (module, module.running_mean, module.running_var)
+                for module in _batch_stat_modules(model)
             ]
-        for worker_index in faulted:
-            selected_by_worker[worker_index] = []
-        replies = []
+        )
+        start = monotonic()
         try:
-            for conn, selected in zip(self._conns, selected_by_worker):
-                conn.send((state, selected))
-            for conn in self._conns:
-                replies.append(conn.recv())
-        except (EOFError, ConnectionError, OSError) as exc:
-            self._teardown()
-            raise RuntimeError(
-                "a collect worker died mid-round (crashed or was killed); "
-                "the round buffer is NaN-invalidated"
-            ) from exc
-        # Completed rows plus NaN-invalidated rows become the caller's view,
-        # even when a client failed.
-        if subset is None:
-            out[...] = self._shm_array
-        else:
-            np.take(self._shm_array, subset, axis=0, out=out)
-        self.worker_timings = []
-        stats_by_row: List[Tuple[int, ClientBatchStats]] = []
-        first_error: Optional[BaseException] = None
-        for worker_index, seconds, count, losses, stats, rng_states, error in replies:
-            self.worker_timings.append((worker_index, seconds, count))
-            for row, loss in losses:
-                clients[row].last_loss = loss
-            stats_by_row.extend(stats)
-            self._rng_states.update(rng_states)
-            if error is not None and first_error is None:
-                first_error = error
-        if first_error is not None:
-            raise first_error
-        if apply_batch_stats:
-            # Workers run on in-process replicas re-synced from the
-            # state-dict broadcast, so suppression just skips this replay.
-            _replay_batch_stats(model, stats_by_row)
+            for buffer_row, client_row in enumerate(row_ids):
+                out[buffer_row] = clients[client_row].compute_gradient(model)
+        finally:
+            for module, running_mean, running_var in saved_stats:
+                module.running_mean = running_mean
+                module.running_var = running_var
+        self.worker_timings = [(0, monotonic() - start, len(row_ids))]
         return out
-
-    def _teardown(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._procs:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        self._procs = []
-        self._conns = []
-        self._shm_array = None
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - defensive
-                pass
-            self._shm = None
-        self._source_clients = None
-        self._source_model = None
-        self._source_geometry = None
-
-    def close(self) -> None:
-        self._teardown()
-        self._rng_states = {}
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown safety net
-        try:
-            self._teardown()
-        # repro-lint: disable=exception-hygiene -- raising in __del__ during
-        # interpreter shutdown only prints an unraisable-error warning; the
-        # shared-memory block is reclaimed by the OS either way.
-        except Exception:
-            pass
 
 
 #: Collect backend names accepted by :func:`build_collector` and
 #: :class:`~repro.utils.config.TrainingConfig`.  Kept as an explicit tuple
 #: (rather than derived from the registry) so error messages preserve the
 #: documented order.
-COLLECT_BACKENDS = ("sequential", "thread", "process", "distributed")
+COLLECT_BACKENDS = ("sequential", "process", "distributed")
 
 #: Backend name → factory taking the normalized collect options dict (see
 #: :func:`build_collector`, which assembles it).  New backends register
@@ -933,24 +380,6 @@ COLLECTOR_REGISTRY = Registry("collect backend")
 @COLLECTOR_REGISTRY.register("sequential")
 def _make_sequential_collector(options: Dict[str, Any]) -> GradientCollector:
     return SequentialCollector(fault_schedule=options["fault_schedule"])
-
-
-@COLLECTOR_REGISTRY.register("thread")
-def _make_thread_collector(options: Dict[str, Any]) -> GradientCollector:
-    if options["n_workers"] <= 1:
-        return _make_sequential_collector(options)
-    return ParallelCollector(
-        options["n_workers"], fault_schedule=options["fault_schedule"]
-    )
-
-
-@COLLECTOR_REGISTRY.register("process")
-def _make_process_collector(options: Dict[str, Any]) -> GradientCollector:
-    if options["n_workers"] <= 1:
-        return _make_sequential_collector(options)
-    return ProcessCollector(
-        options["n_workers"], fault_schedule=options["fault_schedule"]
-    )
 
 
 @COLLECTOR_REGISTRY.register("distributed")
@@ -974,9 +403,27 @@ def _make_distributed_collector(options: Dict[str, Any]) -> GradientCollector:
     )
 
 
+@COLLECTOR_REGISTRY.register("process")
+def _make_process_collector(options: Dict[str, Any]) -> GradientCollector:
+    if options["n_workers"] <= 1:
+        return _make_sequential_collector(options)
+    from repro.fl.transport.fleet import spawn_local_fleet
+
+    fleet = spawn_local_fleet(options["n_workers"])
+    try:
+        collector = _make_distributed_collector(
+            {**options, "workers": fleet.addresses}
+        )
+    except BaseException:
+        fleet.terminate()
+        raise
+    collector.fleet = fleet
+    return collector
+
+
 def build_collector(
     n_workers: int = 1,
-    backend: str = "thread",
+    backend: str = "sequential",
     *,
     workers: Optional[Sequence[str]] = None,
     connect_timeout: float = 10.0,
@@ -988,18 +435,22 @@ def build_collector(
 ) -> GradientCollector:
     """Build the collect strategy for ``backend`` at ``n_workers``.
 
-    ``n_workers <= 1`` (or ``backend="sequential"``) gives the sequential
-    strategy; otherwise ``"thread"`` gives :class:`ParallelCollector` and
-    ``"process"`` gives :class:`ProcessCollector`.  ``"distributed"``
-    ignores ``n_workers`` and drives the fleet named by ``workers``
-    (``host:port`` specs) through a
-    :class:`~repro.fl.transport.collector.DistributedCollector`.
+    ``"sequential"``, and ``"process"`` at ``n_workers <= 1``, give the
+    :class:`SequentialCollector`.  ``"process"`` at ``n_workers >= 2``
+    spawns a local fleet of ``n_workers`` ``repro-worker`` subprocesses
+    and returns a
+    :class:`~repro.fl.transport.collector.DistributedCollector` that owns
+    it (``close()`` terminates the workers).  ``"distributed"`` ignores
+    ``n_workers`` and drives the fleet named by ``workers`` (``host:port``
+    specs).
 
     ``connect_timeout``/``round_timeout``/``redispatch``/``retry_seed``/
-    ``wire_codec`` shape the distributed backend's recovery behaviour and
-    wire format and are ignored by the in-process backends (which have no
-    sockets to time out or frames to compress); ``fault_schedule`` injects
-    deterministic faults into any backend.
+    ``wire_codec`` shape the fleet path's recovery behaviour and wire
+    format and are ignored by the sequential backend (which has no sockets
+    to time out or frames to compress); ``fault_schedule`` injects
+    deterministic faults into any backend — on the fleet path a spec
+    severs the caller's link to worker *w*, and the recovery ladder
+    (retry → re-dispatch → demote) takes over.
 
     Dispatch goes through :data:`COLLECTOR_REGISTRY`; prefer
     :func:`make_collector` when starting from a
@@ -1011,6 +462,8 @@ def build_collector(
         raise ValueError(
             f"collect backend must be one of {COLLECT_BACKENDS}, got {backend!r}"
         )
+    if int(n_workers) < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     options: Dict[str, Any] = {
         "n_workers": int(n_workers),
         "workers": list(workers) if workers else None,
@@ -1061,7 +514,7 @@ def make_collector(
 
     return build_collector(
         n_workers=_field(n_workers, "n_workers", 1),
-        backend=_field(backend, "collect_backend", "thread"),
+        backend=_field(backend, "collect_backend", "sequential"),
         workers=_field(workers, "workers", None),
         connect_timeout=_field(connect_timeout, "connect_timeout", 10.0),
         round_timeout=_field(round_timeout, "round_timeout", 120.0),

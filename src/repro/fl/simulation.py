@@ -69,26 +69,29 @@ class FederatedSimulation:
             model's own dtype controls the precision clients *compute* in;
             :func:`~repro.fl.experiment.run_experiment` keeps the two in
             sync.
-        n_workers: worker count for the collect stage.  1 (the default)
-            keeps the seed's sequential loop; larger values fan the clients
-            over the configured backend, which is bit-identical to the
-            sequential path (see :mod:`repro.fl.collector`).  Ignored when
-            ``collector`` is given.
-        collect_backend: collect strategy — ``"thread"`` (default),
-            ``"process"`` (shared-memory worker processes, for GIL-bound
-            compute), ``"distributed"`` (a TCP fleet of ``repro-worker``
-            hosts given by ``workers``), or ``"sequential"`` (force the
-            seed loop).  Ignored when ``collector`` is given.
+        n_workers: worker count of the ``"process"`` backend's local
+            fleet.  1 (the default) keeps the seed's sequential loop;
+            larger values fan the clients over that many workers,
+            bit-identically to the sequential path (see
+            :mod:`repro.fl.collector`).  Ignored when ``collector`` is
+            given.
+        collect_backend: collect strategy — ``"sequential"`` (default,
+            the seed loop), ``"process"`` (a local fleet of ``n_workers``
+            ``repro-worker`` subprocesses, spawned here and terminated by
+            :meth:`close`; sequential at ``n_workers=1``), or
+            ``"distributed"`` (the ``repro-worker`` hosts given by
+            ``workers``).  Ignored when ``collector`` is given.
         workers: ``host:port`` specs of the ``repro-worker`` fleet for the
             distributed backend (ignored otherwise).  A worker that dies
             or times out mid-round walks the recovery ladder (reconnect →
             re-dispatch to survivors → demote its clients to dropouts in
             the round's plan) instead of crashing the run.
-        connect_timeout: distributed backend only — socket timeout for
+        connect_timeout: fleet path only (``"process"`` at
+            ``n_workers >= 2``, ``"distributed"``) — socket timeout for
             worker connect/handshake.
-        round_timeout: distributed backend only — deadline for a worker's
-            round reply (``None`` waits forever).
-        wire_codec: distributed backend only — the gradient wire codec its
+        round_timeout: fleet path only — deadline for a worker's round
+            reply (``None`` waits forever).
+        wire_codec: fleet path only — the gradient wire codec its
             shard frames travel in (``"raw"`` default; see
             :mod:`repro.fl.transport.codec`).  A stateful codec's
             per-client residuals are captured/restored with checkpoints.
@@ -96,7 +99,7 @@ class FederatedSimulation:
             deterministic injected faults, honoured by every backend
             (ignored when ``collector`` is given — configure the collector
             directly).
-        redispatch: distributed backend only — when True (default), a dead
+        redispatch: fleet path only — when True (default), a dead
             worker's rows are recomputed by surviving workers before any
             dropout demotion.
         min_cohort_fraction: quorum threshold — the round must end with at
@@ -150,7 +153,7 @@ class FederatedSimulation:
         description: str = "",
         dtype=np.float64,
         n_workers: int = 1,
-        collect_backend: str = "thread",
+        collect_backend: str = "sequential",
         workers: Optional[Sequence[str]] = None,
         collector: Optional[GradientCollector] = None,
         connect_timeout: float = 10.0,
@@ -501,7 +504,7 @@ class FederatedSimulation:
         schedule kind, attack) — only *mutable* state is restored here;
         everything structural is the caller's responsibility
         (:func:`repro.fl.experiment.run_experiment` verifies the config
-        echo).  The collector is closed so its workers are rebuilt from
+        echo).  The collector is reset so its workers are rebuilt from
         the restored client states on the next round.
         """
         self.model.load_state_dict(checkpoint.model_state)
@@ -533,9 +536,9 @@ class FederatedSimulation:
         self.recorder = RunRecorder.from_dict(checkpoint.recorder_state or {})
         # Drop worker-held copies of model/client state: the next collect
         # rebuilds the fleet from the restored objects above.  Codec state
-        # loads *after* the close (which clears the collector's cache) so
+        # loads *after* the reset (which clears the collector's cache) so
         # the rebuilt fleet resumes a stateful wire codec's residuals.
-        self.collector.close()
+        self.collector.reset()
         if checkpoint.codec_states:
             self.collector.load_codec_states(checkpoint.codec_states)
         return int(checkpoint.rounds_completed)
@@ -588,7 +591,7 @@ class FederatedSimulation:
         return self.recorder
 
     def close(self) -> None:
-        """Release the collector's worker threads (idempotent)."""
+        """Release the collector's workers (idempotent)."""
         self.collector.close()
 
 

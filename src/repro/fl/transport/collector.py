@@ -1,11 +1,11 @@
 """The distributed collect backend: a fleet of ``repro-worker`` servers.
 
-:class:`DistributedCollector` is the fourth
-:class:`~repro.fl.collector.GradientCollector` backend
-(``TrainingConfig(collect_backend="distributed", workers=[...])``).  It
-takes the same contract the in-process backends satisfy — fill a
-preallocated round buffer with the selected clients' gradients,
-bit-identically to the sequential loop — across TCP:
+:class:`DistributedCollector` is the parallel
+:class:`~repro.fl.collector.GradientCollector` path, behind both
+``TrainingConfig(collect_backend="distributed", workers=[...])`` and
+``collect_backend="process"`` (a local fleet it spawns and owns).  It takes
+the contract the sequential backend satisfies — fill a preallocated round
+buffer with the selected clients' gradients — bit-identically, across TCP:
 
 * the client population is chunked **contiguously** over the workers
   (``np.array_split``), so each worker's rows occupy one contiguous slice
@@ -22,7 +22,7 @@ bit-identically to the sequential loop — across TCP:
   onto the global model in ascending client order — the plan order every
   backend shares.
 
-Failure semantics — the part that differs from the in-process backends:
+Failure semantics — the part that differs from the sequential backend:
 a worker that dies, times out, or refuses mid-round does **not** raise.
 The collector climbs a recovery ladder instead:
 
@@ -63,7 +63,7 @@ exercises the same ladder from the other end.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +81,9 @@ from repro.fl.transport.codec import CodecError, build_codec, encode_state_dict
 from repro.fl.transport.framing import DEFAULT_MAX_FRAME_BYTES, FrameError
 from repro.fl.transport.protocol import HandshakeError, TransportError
 from repro.nn.module import Module
+
+if TYPE_CHECKING:
+    from repro.fl.transport.fleet import LocalFleet, ThreadFleet
 
 
 class DistributedCollector(GradientCollector):
@@ -190,6 +193,10 @@ class DistributedCollector(GradientCollector):
         self.last_round_redispatched: Tuple[int, ...] = ()
         #: Successful worker reconnects during the last ``collect``.
         self.last_round_reconnects: int = 0
+        #: The local fleet this collector owns — the ``"process"`` backend
+        #: sets it to the workers it spawned — which :meth:`close`
+        #: terminates (``None``: the caller owns the workers).
+        self.fleet: Optional[Union[LocalFleet, ThreadFleet]] = None
         # Most recent permanent handshake refusal (surfaced when the whole
         # fleet turns out unreachable — usually a codec/version mismatch).
         self._last_handshake_refusal: Optional[HandshakeError] = None
@@ -512,7 +519,8 @@ class DistributedCollector(GradientCollector):
             sum(conn.bytes_received for conn in self._conns),
         )
 
-    def close(self) -> None:
+    def reset(self) -> None:
+        """Disconnect and forget the shards; the next collect re-ships them."""
         for conn in self._conns:
             conn.close()
         self._chunks = []
@@ -521,3 +529,10 @@ class DistributedCollector(GradientCollector):
         self._rng_states = {}
         self._codec_states = {}
         self._needs_setup = [True] * self.n_workers
+
+    def close(self) -> None:
+        """Disconnect, and terminate the workers if this collector owns them."""
+        self.reset()
+        if self.fleet is not None:
+            self.fleet.terminate()
+            self.fleet = None

@@ -1,13 +1,16 @@
 """Localhost fleet helpers: spawn ``repro-worker`` processes or threads.
 
-Production federations run ``repro-worker`` on real hosts; tests, the
-benchmarks, and ``examples/distributed_collect.py`` need a throwaway
-fleet on this machine.  Two flavours:
+Production federations run ``repro-worker`` on real hosts; the
+``collect_backend="process"`` backend, tests, the benchmarks, and
+``examples/distributed_collect.py`` need a fleet on this machine.  Two
+flavours:
 
 * :func:`spawn_local_fleet` — real ``repro-worker`` subprocesses (the
   exact entrypoint a deployment uses), each bound to an OS-assigned port
-  scraped from its startup line.  Use this to exercise true process
-  isolation, or to kill a worker and watch the dropout semantics.
+  scraped from its startup line, with BLAS threads pinned to its share of
+  the cores.  This is what ``"process"`` runs on; use it directly to
+  exercise true process isolation, or to kill a worker and watch the
+  dropout semantics.
 * :func:`start_thread_fleet` — in-process
   :class:`~repro.fl.transport.worker.WorkerServer` threads.  Cheaper and
   quieter; the wire protocol is identical (real TCP sockets over
@@ -18,12 +21,15 @@ Both return context-managed handles that tear the fleet down on exit.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import selectors
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.fl.faults import FaultSchedule
 from repro.perf.timers import monotonic
@@ -46,19 +52,21 @@ class WorkerProcess:
         """The last ``limit`` characters the worker wrote to stderr."""
         return _stderr_tail(self._stderr_file, limit)
 
-    def _close_stderr(self) -> None:
-        if self._stderr_file is not None:
-            try:
-                self._stderr_file.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._stderr_file = None
+    def _close_files(self) -> None:
+        """Close the captured stderr file and the stdout pipe (idempotent)."""
+        for handle in (self._stderr_file, self.process.stdout):
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:  # pragma: no cover - defensive
+                    pass
+        self._stderr_file = None
 
     def kill(self) -> None:
         """Hard-kill the worker (simulates a host failure)."""
         self.process.kill()
         self.process.wait(timeout=10)
-        self._close_stderr()
+        self._close_files()
 
     def terminate(self) -> None:
         if self.process.poll() is None:
@@ -68,7 +76,7 @@ class WorkerProcess:
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                 self.process.kill()
                 self.process.wait(timeout=5)
-        self._close_stderr()
+        self._close_files()
 
 
 class LocalFleet:
@@ -92,10 +100,20 @@ class LocalFleet:
         self.terminate()
 
 
-def _worker_environment() -> dict:
-    """Subprocess environment with this interpreter's ``repro`` importable."""
-    import os
+#: ``prctl`` option: the signal a child receives when its spawner exits.
+_PR_SET_PDEATHSIG = 1
 
+#: BLAS/OpenMP thread-count variables a fleet pins in its workers.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_environment(blas_threads: Optional[int] = None) -> dict:
+    """Subprocess environment with this interpreter's ``repro`` importable.
+
+    ``blas_threads`` sets each of :data:`BLAS_THREAD_VARS` the caller's
+    environment leaves unset, so co-located workers do not oversubscribe
+    the cores with BLAS threads.
+    """
     import repro
 
     env = dict(os.environ)
@@ -104,6 +122,9 @@ def _worker_environment() -> dict:
     env["PYTHONPATH"] = (
         package_root if not existing else os.pathsep.join([package_root, existing])
     )
+    if blas_threads is not None:
+        for name in BLAS_THREAD_VARS:
+            env.setdefault(name, str(blas_threads))
     return env
 
 
@@ -119,28 +140,40 @@ def _stderr_tail(stderr_file, limit: int = 2000) -> str:
     return text[-limit:].strip()
 
 
-def spawn_worker_process(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    extra_args: Sequence[str] = (),
-    startup_timeout: float = 30.0,
-    worker_index: Optional[int] = None,
-    allow_pickle_setup: bool = True,
-) -> WorkerProcess:
-    """Spawn one ``repro-worker`` subprocess and scrape its address.
+def _die_with_parent_hook() -> Optional[Callable[[], None]]:
+    """A ``preexec_fn`` that makes the child die with its spawner (Linux).
 
-    Startup is bounded: if the worker exits or stays silent past
-    ``startup_timeout``, it is killed and a ``RuntimeError`` names the
-    worker (``worker_index``, when given), its exit code, and the tail of
-    its captured stderr — the actual traceback, not just "failed to
-    start".
-
-    ``allow_pickle_setup`` defaults to True (passing ``--allow-pickle-setup``
-    to the subprocess): this helper spawns loopback workers for the caller
-    itself, the trusted-operator case the CLI flag exists for.
+    ``prctl(PR_SET_PDEATHSIG, SIGTERM)``: the kernel sends the worker
+    SIGTERM when the *thread* that spawned it exits, so a killed caller
+    cannot leave a fleet serving forever.  Elsewhere this is a no-op
+    (``None``).
     """
-    label = "repro-worker" if worker_index is None else f"repro-worker {worker_index}"
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):  # pragma: no cover - exotic libc
+        return None
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    spawner = os.getpid()
+
+    def hook() -> None:
+        prctl(_PR_SET_PDEATHSIG, int(signal.SIGTERM))
+        if os.getppid() != spawner:  # the spawner died before the prctl
+            os._exit(1)
+
+    return hook
+
+
+def _launch_worker(
+    host: str,
+    port: int,
+    extra_args: Sequence[str],
+    allow_pickle_setup: bool,
+    env: dict,
+) -> WorkerProcess:
+    """Start one ``repro-worker`` subprocess; its address is not known yet."""
     stderr_file = tempfile.TemporaryFile(mode="w+", prefix="repro-worker-stderr-")
     process = subprocess.Popen(
         [
@@ -157,9 +190,23 @@ def spawn_worker_process(
         stdout=subprocess.PIPE,
         stderr=stderr_file,
         text=True,
-        env=_worker_environment(),
+        env=env,
+        preexec_fn=_die_with_parent_hook(),
     )
-    line = _read_line_with_timeout(process, startup_timeout)
+    return WorkerProcess(process, "", stderr_file)
+
+
+def _await_address(
+    worker: WorkerProcess, deadline: float, startup_timeout: float, label: str
+) -> WorkerProcess:
+    """Scrape a launched worker's address, or kill it and raise.
+
+    The ``RuntimeError`` names the worker (``label``), its exit code, and
+    the tail of its captured stderr — the actual traceback, not just
+    "failed to start".
+    """
+    process = worker.process
+    line = _read_line_with_timeout(process, deadline - monotonic())
     if line is None or "listening on" not in line:
         process.kill()
         process.wait(timeout=10)
@@ -169,14 +216,44 @@ def spawn_worker_process(
             if returncode is not None
             else f"printed no address within {startup_timeout:.0f}s"
         )
-        tail = _stderr_tail(stderr_file)
-        stderr_file.close()
+        tail = worker.stderr_tail()
+        worker._close_files()
         raise RuntimeError(
             f"{label} failed to start: {detail} (first stdout line: {line!r})"
             + (f"\n--- worker stderr ---\n{tail}" if tail else "")
         )
-    address = line.rsplit(" ", 1)[-1].strip()
-    return WorkerProcess(process, address, stderr_file)
+    worker.address = line.rsplit(" ", 1)[-1].strip()
+    return worker
+
+
+def spawn_worker_process(
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    extra_args: Sequence[str] = (),
+    startup_timeout: float = 30.0,
+    worker_index: Optional[int] = None,
+    allow_pickle_setup: bool = True,
+) -> WorkerProcess:
+    """Spawn one ``repro-worker`` subprocess and scrape its address.
+
+    Startup is bounded: if the worker exits or stays silent past
+    ``startup_timeout``, it is killed and a ``RuntimeError`` names the
+    worker (``worker_index``, when given), its exit code, and the tail of
+    its captured stderr.  On Linux the worker dies with the thread that
+    spawned it (``PR_SET_PDEATHSIG``), so a killed caller leaves no
+    orphaned workers behind.
+
+    ``allow_pickle_setup`` defaults to True (passing ``--allow-pickle-setup``
+    to the subprocess): this helper spawns loopback workers for the caller
+    itself, the trusted-operator case the CLI flag exists for.
+    """
+    label = "repro-worker" if worker_index is None else f"repro-worker {worker_index}"
+    deadline = monotonic() + startup_timeout
+    worker = _launch_worker(
+        host, port, extra_args, allow_pickle_setup, _worker_environment()
+    )
+    return _await_address(worker, deadline, startup_timeout, label)
 
 
 def _read_line_with_timeout(process: subprocess.Popen, timeout: float):
@@ -213,6 +290,17 @@ def spawn_local_fleet(
 ) -> LocalFleet:
     """Spawn ``n_workers`` localhost ``repro-worker`` subprocesses.
 
+    The workers start concurrently: every subprocess is launched first,
+    then each one's address is scraped against its own
+    ``startup_timeout`` deadline.  If any worker fails to start, every
+    launched worker is torn down and the error names the failing one.
+
+    Each worker's BLAS/OpenMP thread count
+    (:data:`BLAS_THREAD_VARS`) is pinned to ``max(1, cpu_count //
+    n_workers)`` unless the caller's environment already sets it: the
+    workers share this host's cores, and unpinned BLAS pools would
+    oversubscribe them.
+
     ``fault_schedule`` distributes a fleet-wide
     :class:`~repro.fl.faults.FaultSchedule` across the workers: each
     worker receives its own specs as ``--fault`` CLI arguments (worker
@@ -227,23 +315,22 @@ def spawn_local_fleet(
                 f"fault schedule targets worker {worker} but the fleet has "
                 f"only {n_workers} workers"
             )
-    workers: List[WorkerProcess] = []
+    env = _worker_environment(max(1, (os.cpu_count() or 1) // n_workers))
+    launched: List[Tuple[WorkerProcess, float]] = []
     try:
         for index in range(n_workers):
             args = list(extra_args) + schedule.for_worker(index).to_cli_args()
-            workers.append(
-                spawn_worker_process(
-                    host=host,
-                    extra_args=args,
-                    startup_timeout=startup_timeout,
-                    worker_index=index,
-                )
+            deadline = monotonic() + startup_timeout
+            launched.append((_launch_worker(host, 0, args, True, env), deadline))
+        for index, (worker, deadline) in enumerate(launched):
+            _await_address(
+                worker, deadline, startup_timeout, f"repro-worker {index}"
             )
     except BaseException:
-        for worker in workers:
+        for worker, _ in launched:
             worker.terminate()
         raise
-    return LocalFleet(workers)
+    return LocalFleet([worker for worker, _ in launched])
 
 
 class ThreadFleet:

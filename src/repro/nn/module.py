@@ -192,9 +192,9 @@ class Module:
     def state_dict(self, *, include_buffers: bool = True) -> Dict[str, np.ndarray]:
         """Copy of every named parameter's data (and, by default, buffers).
 
-        The result is a plain ``{name: ndarray}`` mapping — picklable, so it
-        doubles as the wire format the process-pool collect backend uses to
-        ship per-round parameter updates to its worker replicas.
+        The result is a plain ``{name: ndarray}`` mapping; the fleet
+        collect path encodes it (pickle-free) as the per-round broadcast
+        that ships parameter updates to its worker replicas.
         """
         state = {name: param.data.copy() for name, param in self.named_parameters()}
         if include_buffers:

@@ -89,8 +89,8 @@ class RoundProfiler:
         """Record an externally measured duration sample for ``name``.
 
         Used for stages that are not timed around a ``with`` block — e.g.
-        the per-worker chunk durations reported by a
-        :class:`~repro.fl.collector.ParallelCollector`.
+        the per-worker shard durations a
+        :class:`~repro.fl.transport.collector.DistributedCollector` reports.
         """
         self.timings.add(name, float(seconds))
 

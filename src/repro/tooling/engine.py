@@ -148,7 +148,6 @@ class LintConfig:
     pickle_allowlist: Tuple[str, ...] = (
         "repro.fl.transport.worker",
         "repro.fl.transport.client",
-        "repro.fl.collector",
     )
     #: Hot-path module prefixes where array allocations must pin a dtype.
     dtype_modules: Tuple[str, ...] = (

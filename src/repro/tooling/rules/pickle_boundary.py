@@ -5,8 +5,9 @@ deliberately pickle-free (JSON manifests + raw array bytes), so a
 malicious or corrupted peer can never execute code through a payload.
 The one documented exception is the trusted-operator data-plane handoff:
 the transport ``SETUP`` path ships client populations as pickles between
-machines the operator controls (``worker.py`` / ``client.py``) and the
-process-pool backend does the same within one host (``collector.py``).
+machines the operator controls (``worker.py`` / ``client.py``) — the
+local ``process`` collect backend included, whose workers are
+``repro-worker`` subprocesses on the same host.
 
 Any *new* ``import pickle`` — in checkpoint, codec, aggregator, or
 anywhere else — is an error: it either widens the trust boundary or

@@ -68,28 +68,23 @@ class TrainingConfig:
     ``"float64"`` (default) or ``"float32"`` (halved memory traffic on the
     round hot path, including the collect stage).
 
-    ``n_workers`` sets the worker count of the collect stage (1 = the
-    sequential seed behaviour) and ``collect_backend`` picks the strategy the
-    workers run on: ``"thread"`` (default — a
-    :class:`~repro.fl.collector.ParallelCollector`, best when clients wait on
-    dispatch latency or GIL-releasing BLAS), ``"process"`` (a
-    :class:`~repro.fl.collector.ProcessCollector` over shared memory —
-    recovers compute parallelism on GIL-bound hosts), ``"distributed"`` (a
-    :class:`~repro.fl.transport.collector.DistributedCollector` over the
-    TCP ``repro-worker`` fleet listed in ``workers``), or ``"sequential"``
-    (force the seed loop regardless of ``n_workers``).  Every backend is
-    bit-identical to the sequential path at any worker count; the
-    distributed backend additionally degrades a dead or timed-out worker
-    into :class:`~repro.fl.participation.RoundPlan` dropouts instead of
-    crashing the run.
+    ``collect_backend`` picks the collect strategy: ``"sequential"``
+    (default — the seed loop), ``"process"`` (a local fleet of
+    ``n_workers`` ``repro-worker`` subprocesses driven by a
+    :class:`~repro.fl.transport.collector.DistributedCollector`; at
+    ``n_workers=1`` it stays sequential), or ``"distributed"`` (the same
+    collector over the ``repro-worker`` fleet listed in ``workers``).  Both
+    fleet spellings are bit-identical to the sequential path at any worker
+    count, and degrade a dead or timed-out worker through re-dispatch into
+    :class:`~repro.fl.participation.RoundPlan` dropouts instead of crashing
+    the run.
 
-    ``wire_codec`` picks the gradient wire codec of the distributed
-    backend's shard frames (see :mod:`repro.fl.transport.codec`):
-    ``"raw"`` (default — lossless, the pre-codec wire format byte for
-    byte), ``"sign1bit"``, ``"int8"``, ``"fp16"``, or ``"topk"``.  The
-    non-raw codecs trade the collect contract's bit-exactness for a
-    16–64× smaller gradient frame; only ``"raw"`` is meaningful for the
-    in-process backends (which have no wire).
+    ``wire_codec`` picks the gradient wire codec of a fleet's shard frames
+    (see :mod:`repro.fl.transport.codec`): ``"raw"`` (default — lossless,
+    the pre-codec wire format byte for byte), ``"sign1bit"``, ``"int8"``,
+    ``"fp16"``, or ``"topk"``.  The non-raw codecs trade the collect
+    contract's bit-exactness for a 16–64× smaller gradient frame; only
+    ``"raw"`` is meaningful for the sequential path (which has no wire).
 
     ``participation`` selects which clients train each round (see
     :mod:`repro.fl.participation`): ``"full"`` (default — every client,
@@ -100,7 +95,7 @@ class TrainingConfig:
     fail before computing / compute but miss the synchronous deadline.
 
     The fault-tolerance knobs: ``connect_timeout`` / ``round_timeout``
-    bound the distributed backend's worker handshakes and round replies
+    bound a fleet's worker handshakes and round replies
     (``round_timeout=None`` waits forever); ``min_cohort_fraction`` is the
     round quorum (at least ``ceil(fraction * cohort_size)`` clients must
     aggregate) and ``on_quorum_loss`` what to do beneath it — ``"accept"``
@@ -120,7 +115,7 @@ class TrainingConfig:
     eval_every: int = 1
     dtype: str = "float64"
     n_workers: int = 1
-    collect_backend: str = "thread"
+    collect_backend: str = "sequential"
     workers: Optional[List[str]] = None
     wire_codec: str = "raw"
     participation: str = "full"
@@ -179,11 +174,16 @@ class TrainingConfig:
                 f"wire_codec must be one of {wire_codec_names()}, "
                 f"got {self.wire_codec!r}"
             )
-        if self.wire_codec != "raw" and self.collect_backend != "distributed":
+        has_wire = self.collect_backend == "distributed" or (
+            self.collect_backend == "process" and self.n_workers > 1
+        )
+        if self.wire_codec != "raw" and not has_wire:
             raise ValueError(
-                "wire_codec= is only meaningful with collect_backend="
-                "'distributed' — the in-process backends have no wire "
-                f"(got collect_backend={self.collect_backend!r})"
+                "wire_codec= is only meaningful on a worker fleet "
+                "(collect_backend='distributed', or 'process' with "
+                "n_workers > 1) — the sequential path has no wire "
+                f"(got collect_backend={self.collect_backend!r}, "
+                f"n_workers={self.n_workers})"
             )
         from repro.fl.participation import PARTICIPATION_SCHEDULES
 

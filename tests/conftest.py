@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import ArrayDataset, DataSpec
+
+
+@pytest.fixture
+def workers_import_tests(monkeypatch):
+    """Let spawned ``repro-worker`` subprocesses import the test modules.
+
+    Fleet SETUP pickles clients and models by reference, so a class defined
+    in a test module (``BatchNormMLP``, ``ExplodingClient``) only resolves
+    in a worker that can import that module; spawned workers inherit
+    ``PYTHONPATH``.
+    """
+    tests_dir = str(Path(__file__).resolve().parent)
+    existing = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join([tests_dir, existing]) if existing else tests_dir
+    )
 
 
 @pytest.fixture

@@ -12,20 +12,28 @@ from __future__ import annotations
 import pytest
 
 from repro import ExperimentConfig, TrainingConfig
+import repro.fl.transport.fleet
 from repro.fl import (
     COLLECT_BACKENDS,
     COLLECTOR_REGISTRY,
-    ParallelCollector,
-    ProcessCollector,
     SequentialCollector,
     build_collector,
     make_collector,
 )
-from repro.fl.transport import DistributedCollector
+from repro.fl.transport import DistributedCollector, ThreadFleet, start_thread_fleet
+
+
+@pytest.fixture
+def thread_spawned_fleets(monkeypatch):
+    """``"process"`` fleets started as in-process threads (wiring tests)."""
+    monkeypatch.setattr(
+        repro.fl.transport.fleet, "spawn_local_fleet", start_thread_fleet
+    )
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
+        assert COLLECT_BACKENDS == ("sequential", "process", "distributed")
         assert set(COLLECT_BACKENDS) <= set(COLLECTOR_REGISTRY.names())
 
     def test_unknown_backend_keeps_documented_error(self):
@@ -60,20 +68,55 @@ class TestBuildCollector:
         assert isinstance(build_collector(1, "sequential"), SequentialCollector)
 
     def test_thread(self):
-        collector = build_collector(4, "thread")
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 4
+        # The thread backend is retired; no alias maps it anywhere.
+        with pytest.raises(ValueError, match="collect backend must be one of"):
+            build_collector(4, "thread")
 
     def test_single_worker_degrades_to_sequential(self):
-        assert isinstance(build_collector(1, "thread"), SequentialCollector)
         assert isinstance(build_collector(1, "process"), SequentialCollector)
 
     def test_process(self):
-        collector = build_collector(2, "process")
+        # A real local fleet: the collector owns the repro-worker
+        # subprocesses it spawned and terminates them on close().
+        collector = build_collector(2, "process", round_timeout=None)
+        workers = collector.fleet.workers
         try:
-            assert isinstance(collector, ProcessCollector)
+            assert isinstance(collector, DistributedCollector)
+            assert collector.n_workers == 2
+            assert collector.worker_addresses == collector.fleet.addresses
+            assert all(worker.alive for worker in workers)
+            assert all(conn.round_timeout is None for conn in collector._conns)
         finally:
             collector.close()
+        assert not any(worker.alive for worker in workers)
+
+    def test_process_passes_fleet_options(self, thread_spawned_fleets):
+        collector = build_collector(
+            3, "process", wire_codec="int8", redispatch=False, retry_seed=7
+        )
+        try:
+            assert isinstance(collector.fleet, ThreadFleet)
+            assert collector.n_workers == 3
+            assert collector.wire_codec == "int8"
+            assert collector.redispatch is False
+        finally:
+            collector.close()
+
+    def test_process_tears_the_fleet_down_on_a_bad_option(self, monkeypatch):
+        class RecordingFleet:
+            addresses = ["127.0.0.1:1", "127.0.0.1:2"]
+            terminated = False
+
+            def terminate(self):
+                self.terminated = True
+
+        fleet = RecordingFleet()
+        monkeypatch.setattr(
+            repro.fl.transport.fleet, "spawn_local_fleet", lambda n_workers: fleet
+        )
+        with pytest.raises(ValueError, match="codec"):
+            build_collector(2, "process", wire_codec="gzip")
+        assert fleet.terminated
 
     def test_distributed_passes_codec_and_timeouts(self):
         collector = build_collector(
@@ -94,22 +137,22 @@ class TestBuildCollector:
 
 class TestMakeCollector:
     def test_defaults_without_a_config(self):
-        # backend "thread" at n_workers=1 is the sequential strategy.
         assert isinstance(make_collector(), SequentialCollector)
+        assert isinstance(make_collector(n_workers=4), SequentialCollector)
 
-    def test_from_training_config(self):
-        config = TrainingConfig(collect_backend="thread", n_workers=3)
-        collector = make_collector(config)
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 3
+    def test_from_training_config(self, thread_spawned_fleets):
+        config = TrainingConfig(collect_backend="process", n_workers=3)
+        with make_collector(config) as collector:
+            assert isinstance(collector, DistributedCollector)
+            assert collector.n_workers == 3
 
-    def test_from_experiment_config(self):
+    def test_from_experiment_config(self, thread_spawned_fleets):
         config = ExperimentConfig(
-            training=TrainingConfig(collect_backend="thread", n_workers=2)
+            training=TrainingConfig(collect_backend="process", n_workers=2)
         )
-        collector = make_collector(config)
-        assert isinstance(collector, ParallelCollector)
-        assert collector.n_workers == 2
+        with make_collector(config) as collector:
+            assert isinstance(collector, DistributedCollector)
+            assert collector.n_workers == 2
 
     def test_config_wire_codec_flows_through(self):
         config = TrainingConfig(
@@ -122,7 +165,7 @@ class TestMakeCollector:
         assert collector.wire_codec == "topk"
 
     def test_overrides_beat_the_config(self):
-        config = TrainingConfig(collect_backend="thread", n_workers=4)
+        config = TrainingConfig(collect_backend="process", n_workers=4)
         assert isinstance(
             make_collector(config, backend="sequential"), SequentialCollector
         )

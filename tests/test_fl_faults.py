@@ -5,10 +5,11 @@ The contracts under test:
 * :class:`FaultSpec` / :class:`FaultSchedule` are pure declarative data —
   parse/format round-trips, seeded :meth:`FaultSchedule.random` draws are
   reproducible, per-worker slicing re-keys correctly;
-* every in-process collect backend honours an injected fault by skipping
-  the faulted worker's rows (RNG streams untouched, rows NaN, ids in
-  ``failed_rows``) so a faulted run is **bit-identical** to a clean run
-  with the same clients planned as dropouts;
+* every collect backend honours an injected fault by skipping the
+  faulted worker's rows (RNG streams untouched, rows NaN, ids in
+  ``failed_rows``) — on a fleet with re-dispatch off, the demote rung —
+  so a faulted run is **bit-identical** to a clean run with the same
+  clients planned as dropouts;
 * the simulation maps a total failure to :class:`FleetOutageError` and a
   sub-quorum round to the configured ``on_quorum_loss`` policy;
 * the distributed backend walks the full recovery ladder: a crashed
@@ -23,11 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-)
+from repro.fl.collector import SequentialCollector, build_collector
 from repro.fl.faults import (
     FAULT_KINDS,
     FaultSchedule,
@@ -38,7 +35,7 @@ from repro.fl.faults import (
 )
 from repro.fl.transport import DistributedCollector, start_thread_fleet
 from repro.perf.profiler import RoundProfiler
-from tests.test_fl_parallel_collect import make_clients, make_model
+from tests.test_fl_parallel_collect import fleet_collector, make_clients, make_model
 from tests.test_fl_transport import PlannedSchedule, build_simulation, make_plan
 
 
@@ -159,7 +156,7 @@ class TestFaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# in-process backend injection
+# injection on every backend (fleets with re-dispatch off: the demote rung)
 # ---------------------------------------------------------------------------
 
 
@@ -175,6 +172,8 @@ def collect_rounds(collector, clients, model, rounds, n_rows=None):
 
 
 class TestInProcessInjection:
+    """Collector-side injection: every backend, no recovery rung above demote."""
+
     def test_sequential_fault_fails_every_row(self):
         clients = make_clients(4)
         model = make_model()
@@ -195,27 +194,33 @@ class TestInProcessInjection:
     def test_thread_fault_maps_buffer_positions_to_worker(self):
         clients = make_clients(6)
         model = make_model()
-        collector = ParallelCollector(
-            3, fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)])
+        collector = fleet_collector(
+            3,
+            fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)]),
+            redispatch=False,
         )
         try:
             collector.collect(
                 clients, model, np.empty((6, model.num_parameters()))
             )
-            out = np.empty((6, model.num_parameters()))
-            collector.collect(clients, model, out)
+            out = np.empty((4, model.num_parameters()))
+            collector.collect(clients, model, out, rows=[1, 2, 3, 5])
         finally:
             collector.close()
-        # Buffer positions 1 and 4 belong to worker 1 of 3.
-        assert collector.failed_rows == (1, 4)
-        assert np.isnan(out[[1, 4]]).all()
-        assert np.isfinite(out[[0, 2, 3, 5]]).all()
+        # Client ids 2 and 3 live on worker 1 of 3; in this sampled cohort
+        # they sit at buffer positions 1 and 2.
+        assert collector.failed_rows == (2, 3)
+        assert np.isnan(out[[1, 2]]).all()
+        assert np.isfinite(out[[0, 3]]).all()
 
-    def test_process_fault_maps_client_ids_to_worker(self):
+    def test_process_fault_maps_client_ids_to_worker(self, workers_import_tests):
         clients = make_clients(6)
         model = make_model()
-        collector = ProcessCollector(
-            2, fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)])
+        collector = build_collector(
+            2,
+            "process",
+            fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)]),
+            redispatch=False,
         )
         try:
             collector.collect(
@@ -223,25 +228,27 @@ class TestInProcessInjection:
             )
             out = np.empty((6, model.num_parameters()))
             collector.collect(clients, model, out)
-            # Client ids 1, 3, 5 live on worker 1 of 2.
-            assert collector.failed_rows == (1, 3, 5)
-            assert np.isnan(out[[1, 3, 5]]).all()
-            assert np.isfinite(out[[0, 2, 4]]).all()
+            # Client ids 3, 4, 5 live on worker 1 of 2.
+            assert collector.failed_rows == (3, 4, 5)
+            assert np.isnan(out[[3, 4, 5]]).all()
+            assert np.isfinite(out[[0, 1, 2]]).all()
         finally:
             collector.close()
 
     @pytest.mark.parametrize(
         "make_collector, failed_ids",
         [
-            # thread: buffer position % 3 == 1 -> clients 1, 4, 7
+            # thread fleet: worker 1 of 3 holds clients 3, 4, 5
             (
-                lambda s: ParallelCollector(3, fault_schedule=s),
-                [1, 4, 7],
+                lambda s: fleet_collector(3, fault_schedule=s, redispatch=False),
+                [3, 4, 5],
             ),
-            # process: client id % 2 == 1 -> clients 1, 3, 5, 7
+            # process: worker 1 of 2 holds clients 4, 5, 6, 7
             (
-                lambda s: ProcessCollector(2, fault_schedule=s),
-                [1, 3, 5, 7],
+                lambda s: build_collector(
+                    2, "process", fault_schedule=s, redispatch=False
+                ),
+                [4, 5, 6, 7],
             ),
         ],
     )
@@ -289,8 +296,10 @@ class TestInProcessInjection:
 
 
 def faulted_thread_collector(fault_round=2, worker=1):
-    return ParallelCollector(
-        2, fault_schedule=FaultSchedule([FaultSpec("crash", fault_round, worker)])
+    return fleet_collector(
+        2,
+        fault_schedule=FaultSchedule([FaultSpec("crash", fault_round, worker)]),
+        redispatch=False,
     )
 
 
@@ -342,7 +351,7 @@ class TestQuorumPolicies:
             [FaultSpec("crash", occurrence, worker=1) for occurrence in (1, 2, 3)]
         )
         simulation = build_simulation(
-            ParallelCollector(2, fault_schedule=schedule)
+            fleet_collector(2, fault_schedule=schedule, redispatch=False)
         )
         simulation.min_cohort_fraction = 0.9
         simulation.on_quorum_loss = "retry"

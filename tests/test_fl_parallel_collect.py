@@ -1,14 +1,18 @@
-"""Tests for the parallel collect stage (repro.fl.collector).
+"""Tests for the parallel collect path over a threaded worker fleet.
 
-The contract under test: the threaded collector is *bit-identical* to the
-sequential one at float64 (the per-client RNG streams are fixed before
-dispatch, so scheduling cannot change results), equivalent within tolerance
-at float32, robust across worker-count edge cases, propagates client
-exceptions, NaN-invalidates the reused round buffer so stale rows cannot
-leak, and replays BatchNorm running-statistics updates onto the global model
-so evaluation metrics match the sequential path exactly.
+The parallel path is a ``DistributedCollector`` driving ``repro-worker``
+servers; here they are in-process threads (``start_thread_fleet``), so the
+wire protocol is real but no process is spawned.  The contract under test:
+the fleet is *bit-identical* to the sequential collector at float64 (the
+per-client RNG streams are fixed before dispatch, so scheduling cannot
+change results), equivalent within tolerance at float32, robust across
+worker-count edge cases, propagates client exceptions, NaN-invalidates the
+reused round buffer so stale rows cannot leak, and replays BatchNorm
+running-statistics updates onto the global model so evaluation metrics
+match the sequential path exactly.
 
-(The process-pool backend shares these contracts; its tests live in
+(The ``process`` backend — the same collector over spawned ``repro-worker``
+subprocesses — shares these contracts; its tests live in
 ``test_fl_process_collect.py``.)
 """
 
@@ -20,15 +24,10 @@ import pytest
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-    build_collector,
-    default_worker_count,
-)
+from repro.fl.collector import SequentialCollector, build_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
+from repro.fl.transport import DistributedCollector, start_thread_fleet
 from repro.nn.activations import ReLU
 from repro.nn.layers import BatchNorm1d, Flatten, Linear, Sequential
 from repro.nn.models.mlp import MLP
@@ -82,6 +81,33 @@ class BatchNormMLP(Module):
         return self.network.backward(grad_output)
 
 
+class ExplodingClient(BenignClient):
+    """A client whose gradient computation raises (pickles by reference)."""
+
+    def compute_gradient(self, model):
+        raise RuntimeError(f"boom: client {self.client_id} went Byzantine for real")
+
+
+def exploding_client(client):
+    """``client``'s population slot taken by an :class:`ExplodingClient`."""
+    return ExplodingClient(
+        client.client_id, client.dataset, batch_size=4, rng=np.random.default_rng(0)
+    )
+
+
+def fleet_collector(n_workers, **kwargs):
+    """A ``DistributedCollector`` owning a fresh ``n_workers`` thread fleet.
+
+    ``close()`` terminates the fleet with the collector.
+    """
+    fleet = start_thread_fleet(n_workers)
+    collector = DistributedCollector(
+        fleet.addresses, connect_timeout=5.0, round_timeout=30.0, **kwargs
+    )
+    collector.fleet = fleet
+    return collector
+
+
 def collect_with(collector, n_clients, *, dtype=np.float64, model_dtype=None):
     clients = make_clients(n_clients)
     model = make_model(dtype=model_dtype)
@@ -98,30 +124,31 @@ class TestBitEquality:
     def test_threaded_float64_bit_identical_to_sequential(self):
         n_clients = 10
         sequential = collect_with(SequentialCollector(), n_clients)
-        threaded = collect_with(ParallelCollector(4), n_clients)
+        threaded = collect_with(fleet_collector(4), n_clients)
         # Bit-for-bit, not allclose: scheduling must not change anything.
         assert np.array_equal(sequential, threaded)
 
     def test_threaded_collect_repeatable_across_runs(self):
-        first = collect_with(ParallelCollector(3), 8)
-        second = collect_with(ParallelCollector(3), 8)
+        first = collect_with(fleet_collector(3), 8)
+        second = collect_with(fleet_collector(3), 8)
         assert np.array_equal(first, second)
 
     def test_full_experiment_equivalent_with_workers(self):
-        def run(n_workers):
+        def run(**collect):
             config = ExperimentConfig(
                 num_clients=8,
                 seed=5,
                 data=DataConfig(dataset="mnist_like", num_train=160, num_test=40),
                 training=TrainingConfig(
-                    model="mlp", rounds=3, batch_size=16, n_workers=n_workers
+                    model="mlp", rounds=3, batch_size=16, **collect
                 ),
                 defense=DefenseConfig(name="signguard"),
             )
             return run_experiment(config)
 
-        sequential = run(1)
-        threaded = run(3)
+        sequential = run()
+        with start_thread_fleet(3) as fleet:
+            threaded = run(collect_backend="distributed", workers=fleet.addresses)
         for a, b in zip(sequential.rounds, threaded.rounds):
             assert a.train_loss == b.train_loss
             assert a.test_accuracy == b.test_accuracy
@@ -136,7 +163,7 @@ class TestFloat32:
             SequentialCollector(), 6, dtype=np.float32, model_dtype=np.float32
         )
         threaded = collect_with(
-            ParallelCollector(3), 6, dtype=np.float32, model_dtype=np.float32
+            fleet_collector(3), 6, dtype=np.float32, model_dtype=np.float32
         )
         assert sequential.dtype == np.float32
         assert np.array_equal(sequential, threaded)
@@ -144,7 +171,7 @@ class TestFloat32:
     def test_float32_close_to_float64_reference(self):
         reference = collect_with(SequentialCollector(), 6)
         reduced = collect_with(
-            ParallelCollector(3), 6, dtype=np.float32, model_dtype=np.float32
+            fleet_collector(3), 6, dtype=np.float32, model_dtype=np.float32
         )
         scale = np.abs(reference).max()
         assert np.allclose(reference, reduced, atol=1e-5 * max(scale, 1.0))
@@ -153,14 +180,15 @@ class TestFloat32:
 class TestWorkerCounts:
     @pytest.mark.parametrize("n_workers", [1, 7, 20])
     def test_edge_worker_counts_match_sequential(self, n_workers):
-        # 1 worker (degenerate pool), exactly n_clients, and > n_clients.
+        # 1 worker, exactly n_clients, and > n_clients (idle workers).
         n_clients = 7
         sequential = collect_with(SequentialCollector(), n_clients)
-        threaded = collect_with(ParallelCollector(n_workers), n_clients)
+        threaded = collect_with(fleet_collector(n_workers), n_clients)
         assert np.array_equal(sequential, threaded)
 
     def test_worker_timings_cover_all_clients(self):
-        collector = ParallelCollector(3)
+        collector = fleet_collector(3)
+        addresses = collector.worker_addresses
         clients = make_clients(8)
         model = make_model()
         out = np.empty((8, model.num_parameters()))
@@ -170,59 +198,50 @@ class TestWorkerCounts:
         finally:
             collector.close()
         assert len(timings) == 3
-        assert sorted(w for w, _, _ in timings) == [0, 1, 2]
+        assert sorted(w for w, _, _ in timings) == sorted(addresses)
         assert sum(count for _, _, count in timings) == 8
         assert all(seconds >= 0 for _, seconds, _ in timings)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
-            ParallelCollector(0)
+            start_thread_fleet(0)
+        with pytest.raises(ValueError, match="n_workers"):
+            build_collector(0, "process")
 
     def test_build_collector_dispatch(self):
+        # The default backend is sequential at any worker count; the
+        # fleet spellings are covered by test_fl_collector_factory.py.
         assert isinstance(build_collector(1), SequentialCollector)
-        assert isinstance(build_collector(4), ParallelCollector)
-        assert isinstance(build_collector(4, "thread"), ParallelCollector)
-        assert isinstance(build_collector(4, "process"), ProcessCollector)
+        assert isinstance(build_collector(4), SequentialCollector)
         assert isinstance(build_collector(4, "sequential"), SequentialCollector)
         assert isinstance(build_collector(1, "process"), SequentialCollector)
-        assert default_worker_count() >= 1
 
     def test_build_collector_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="collect backend"):
             build_collector(4, "greenlet")
 
     def test_collector_reusable_after_close(self):
-        collector = ParallelCollector(2)
-        first = collect_with_collector_twice(collector)
-        assert first
-
-
-def collect_with_collector_twice(collector):
-    clients = make_clients(5)
-    model = make_model()
-    out = np.empty((5, model.num_parameters()))
-    collector.collect(clients, model, out)
-    collector.close()
-    # After close() the executor and replicas are rebuilt on demand.
-    collector.collect(clients, model, out)
-    collector.close()
-    return True
+        # A collector over a fleet it does not own only disconnects on
+        # close(); the next collect reconnects and re-ships the shards.
+        clients = make_clients(5)
+        model = make_model()
+        out = np.empty((5, model.num_parameters()))
+        with start_thread_fleet(2) as fleet:
+            collector = DistributedCollector(fleet.addresses, connect_timeout=5.0)
+            collector.collect(clients, model, out)
+            collector.close()
+            collector.collect(clients, model, out)
+            collector.close()
+        assert np.all(np.isfinite(out))
 
 
 class TestExceptionPropagation:
     def test_failing_client_raises(self):
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("client 3 went Byzantine for real")
-
         clients = make_clients(6)
-        bad = ExplodingClient(
-            3, clients[3].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
-        clients[3] = bad
+        clients[3] = exploding_client(clients[3])
         model = make_model()
         out = np.zeros((6, model.num_parameters()))
-        collector = ParallelCollector(3)
+        collector = fleet_collector(3)
         try:
             with pytest.raises(RuntimeError, match="went Byzantine"):
                 collector.collect(clients, model, out)
@@ -230,29 +249,23 @@ class TestExceptionPropagation:
             collector.close()
 
     def test_other_clients_still_collected_on_failure(self):
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
         clients = make_clients(4)
-        clients[0] = ExplodingClient(
-            0, clients[0].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
+        clients[0] = exploding_client(clients[0])
         model = make_model()
         out = np.zeros((4, model.num_parameters()))
-        collector = ParallelCollector(2)
+        collector = fleet_collector(2)
         try:
             with pytest.raises(RuntimeError):
                 collector.collect(clients, model, out)
         finally:
             collector.close()
-        # Worker 1 (clients 1 and 3) finished its chunk before the error
+        # Worker 1 (clients 2 and 3) finished its shard before the error
         # surfaced; its rows are populated.  Worker 0's rows (the failing
-        # client and everything after it in the chunk) are NaN-invalidated.
-        assert np.all(np.isfinite(out[1]))
+        # client and everything after it in the shard) are NaN-invalidated.
+        assert np.all(np.isfinite(out[2]))
         assert np.all(np.isfinite(out[3]))
         assert np.all(np.isnan(out[0]))
-        assert np.all(np.isnan(out[2]))
+        assert np.all(np.isnan(out[1]))
 
 
 class TestStochasticForwardModels:
@@ -276,7 +289,7 @@ class TestStochasticForwardModels:
         clients = make_clients(4)
         model = DropoutMLP()
         out = np.empty((4, model.num_parameters()))
-        collector = ParallelCollector(2)
+        collector = fleet_collector(2)
         try:
             # Dropout draws masks from a model-owned RNG; replicas would
             # consume that stream per chunk instead of in client order, so
@@ -295,39 +308,38 @@ class TestProfilerIntegration:
         from repro.perf.profiler import RoundProfiler
 
         profiler = RoundProfiler()
-        config = ExperimentConfig(
-            num_clients=6,
-            seed=0,
-            data=DataConfig(dataset="mnist_like", num_train=120, num_test=40),
-            training=TrainingConfig(model="mlp", rounds=2, batch_size=16, n_workers=3),
-            defense=DefenseConfig(name="signguard"),
-        )
-        run_experiment(config, profiler=profiler)
+        with start_thread_fleet(3) as fleet:
+            config = ExperimentConfig(
+                num_clients=6,
+                seed=0,
+                data=DataConfig(dataset="mnist_like", num_train=120, num_test=40),
+                training=TrainingConfig(
+                    model="mlp",
+                    rounds=2,
+                    batch_size=16,
+                    collect_backend="distributed",
+                    workers=fleet.addresses,
+                ),
+                defense=DefenseConfig(name="signguard"),
+            )
+            run_experiment(config, profiler=profiler)
         summary = profiler.summary()
         assert "collect_gradients" in summary
         worker_stages = [s for s in summary if s.startswith("collect_worker_")]
-        assert sorted(worker_stages) == [
-            "collect_worker_0",
-            "collect_worker_1",
-            "collect_worker_2",
-        ]
-        assert summary["collect_worker_0"]["count"] == 2  # one sample per round
+        expected = sorted(f"collect_worker_{a}" for a in fleet.addresses)
+        assert sorted(worker_stages) == expected
+        assert summary[expected[0]]["count"] == 2  # one sample per round
 
 
 class TestBufferInvalidation:
     """A failed round must never leave stale gradients in the reused buffer."""
 
-    class ExplodingClient(BenignClient):
-        def compute_gradient(self, model):
-            raise RuntimeError("boom")
-
+    # ``None`` stands for the two-worker thread fleet.
     @pytest.mark.parametrize("make_collector", [SequentialCollector, None])
     def test_stale_rows_are_nan_after_failure(self, make_collector):
-        collector = make_collector() if make_collector else ParallelCollector(2)
+        collector = make_collector() if make_collector else fleet_collector(2)
         clients = make_clients(4)
-        clients[2] = self.ExplodingClient(
-            2, clients[2].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
+        clients[2] = exploding_client(clients[2])
         model = make_model()
         # Simulate a buffer still holding the previous round's gradients.
         out = np.full((4, model.num_parameters()), 7.0)
@@ -384,7 +396,7 @@ def run_batchnorm_rounds(make_collector, rounds=3, n_clients=6, seed=0):
 
 
 class TestBatchNormBufferParity:
-    """Sequential and threaded collect agree on BatchNorm buffers and eval.
+    """Sequential and thread-fleet collect agree on BatchNorm buffers and eval.
 
     Worker replicas log their per-batch statistics and the collector replays
     them onto the global model in client order, so running statistics — and
@@ -396,7 +408,7 @@ class TestBatchNormBufferParity:
             SequentialCollector
         )
         par_out, par_acc, par_loss, par_buffers = run_batchnorm_rounds(
-            lambda: ParallelCollector(3)
+            lambda: fleet_collector(3)
         )
         assert np.array_equal(seq_out, par_out)
         assert seq_acc == par_acc
@@ -409,7 +421,7 @@ class TestBatchNormBufferParity:
         # The replay must reach the *global* model: after collect rounds the
         # running statistics have moved away from their (0, 1) init.
         _, _, _, buffers = run_batchnorm_rounds(
-            lambda: ParallelCollector(2), rounds=2
+            lambda: fleet_collector(2), rounds=2
         )
         mean_name = next(name for name in buffers if "running_mean" in name)
         assert not np.allclose(buffers[mean_name], 0.0)

@@ -28,12 +28,7 @@ from repro.attacks.base import Attack
 from repro.core import SignGuard
 from repro.data.partition import iid_partition
 from repro.data.synthetic_images import make_mnist_like
-from repro.fl.collector import (
-    ParallelCollector,
-    ProcessCollector,
-    SequentialCollector,
-    resolve_rows,
-)
+from repro.fl.collector import SequentialCollector, build_collector, resolve_rows
 from repro.fl.experiment import run_experiment
 from repro.fl.participation import (
     FixedCohortParticipation,
@@ -46,8 +41,15 @@ from repro.fl.participation import (
 from repro.fl.server import FederatedServer
 from repro.fl.simulation import FederatedSimulation, build_clients
 from repro.nn.models import build_model
+from repro.fl.transport import start_thread_fleet
 from repro.utils.rng import RngFactory
-from test_fl_parallel_collect import BatchNormMLP, make_clients, make_model
+from test_fl_parallel_collect import (
+    BatchNormMLP,
+    exploding_client,
+    fleet_collector,
+    make_clients,
+    make_model,
+)
 
 
 class TestRoundPlan:
@@ -197,16 +199,17 @@ class TestSchedules:
         assert scaled_byzantine_hint(3, 7, 10) == 2
 
 
+@pytest.mark.usefixtures("workers_import_tests")
 class TestCollectSubsets:
-    """Non-contiguous subsets through all three backends."""
+    """Non-contiguous subsets through sequential, a thread fleet, and process."""
 
     ROWS = [0, 2, 5]
 
     def backends(self):
         return [
             ("sequential", SequentialCollector),
-            ("thread", lambda: ParallelCollector(2)),
-            ("process", lambda: ProcessCollector(2)),
+            ("thread fleet", lambda: fleet_collector(2)),
+            ("process", lambda: build_collector(2, "process")),
         ]
 
     def test_subset_rows_match_full_collect_across_backends(self):
@@ -276,17 +279,9 @@ class TestCollectSubsets:
                 assert np.array_equal(reference[key], state[key]), f"{name}:{key}"
 
     def test_variable_width_buffer_nan_invalidated_on_failure(self):
-        from repro.fl.client import BenignClient
-
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
         for name, make_collector in self.backends():
             clients = make_clients(6)
-            clients[2] = ExplodingClient(
-                2, clients[2].dataset, batch_size=4, rng=np.random.default_rng(0)
-            )
+            clients[2] = exploding_client(clients[2])
             model = make_model()
             out = np.full((3, model.num_parameters()), 7.0)
             with make_collector() as collector:
@@ -312,23 +307,15 @@ class TestCollectSubsets:
             for key in before:
                 assert np.array_equal(before[key], after[key]), f"{name}:{key}"
 
-    def test_sampled_shm_rows_still_invalidated_in_process_backend(self):
-        from repro.fl.client import BenignClient
-
-        class ExplodingClient(BenignClient):
-            def compute_gradient(self, model):
-                raise RuntimeError("boom")
-
+    def test_sampled_rows_invalidated_in_process_backend(self):
         clients = make_clients(6)
-        clients[4] = ExplodingClient(
-            4, clients[4].dataset, batch_size=4, rng=np.random.default_rng(0)
-        )
+        clients[4] = exploding_client(clients[4])
         model = make_model()
-        collector = ProcessCollector(2)
+        collector = build_collector(2, "process")
         try:
             # A successful sampled round, then a failing one over different
             # rows: the failed row must come back NaN, not a stale value
-            # from the earlier round's shared-memory contents.
+            # from the earlier round.
             warm = np.empty((2, model.num_parameters()))
             collector.collect(clients, model, warm, rows=[0, 2])
             out = np.full((2, model.num_parameters()), 7.0)
@@ -342,16 +329,17 @@ class TestCollectSubsets:
     def test_process_workers_persist_across_varying_subsets(self):
         clients = make_clients(6)
         model = make_model()
-        collector = ProcessCollector(2)
+        collector = build_collector(2, "process")
         try:
             out = np.empty((3, model.num_parameters()))
             collector.collect(clients, model, out, rows=[0, 2, 5])
-            pids = [p.pid for p in collector._procs]
+            pids = [w.process.pid for w in collector.fleet.workers]
             out_full = np.empty((6, model.num_parameters()))
             collector.collect(clients, model, out_full)
             out_small = np.empty((1, model.num_parameters()))
             collector.collect(clients, model, out_small, rows=[4])
-            assert [p.pid for p in collector._procs] == pids
+            assert [w.process.pid for w in collector.fleet.workers] == pids
+            assert all(worker.alive for worker in collector.fleet.workers)
         finally:
             collector.close()
         assert np.all(np.isfinite(out_small))
@@ -707,7 +695,7 @@ class TestSimulationParticipation:
 
 
 class TestExperimentIntegration:
-    def config(self, backend="thread", n_workers=1, **training_overrides):
+    def config(self, backend="sequential", n_workers=1, **training_overrides):
         training = dict(
             model="mlp",
             rounds=3,
@@ -728,21 +716,26 @@ class TestExperimentIntegration:
         )
 
     def test_partial_runs_equivalent_across_backends(self):
-        fingerprints = []
-        for backend, workers in (("sequential", 1), ("thread", 2), ("process", 2)):
-            recorder = run_experiment(self.config(backend, workers))
-            fingerprints.append(
-                [
-                    (
-                        r.train_loss,
-                        r.test_accuracy,
-                        r.selected_clients,
-                        r.cohort_clients,
-                        r.num_dropped,
-                    )
-                    for r in recorder.rounds
-                ]
-            )
+        with start_thread_fleet(2) as fleet:
+            configs = [
+                self.config("sequential"),
+                self.config("distributed", workers=fleet.addresses),
+                self.config("process", 2),
+            ]
+            recorders = [run_experiment(config) for config in configs]
+        fingerprints = [
+            [
+                (
+                    r.train_loss,
+                    r.test_accuracy,
+                    r.selected_clients,
+                    r.cohort_clients,
+                    r.num_dropped,
+                )
+                for r in recorder.rounds
+            ]
+            for recorder in recorders
+        ]
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
     def test_partial_participation_reproducible(self):

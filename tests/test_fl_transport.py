@@ -760,7 +760,7 @@ class TestConfigValidation:
     def test_workers_only_for_distributed(self):
         with pytest.raises(ValueError, match="only meaningful"):
             TrainingConfig(
-                collect_backend="thread", workers=["h:1"]
+                collect_backend="process", workers=["h:1"]
             ).validate()
 
     def test_bad_worker_spec_rejected(self):
