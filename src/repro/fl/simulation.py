@@ -203,21 +203,6 @@ class FederatedSimulation:
         self.eval_every = eval_every
         self.lr_decay = lr_decay
         self.dtype = dtype
-        self.collector = (
-            collector
-            if collector is not None
-            else make_collector(
-                n_workers=n_workers,
-                backend=collect_backend,
-                workers=workers,
-                connect_timeout=connect_timeout,
-                round_timeout=round_timeout,
-                wire_codec=wire_codec,
-                fault_schedule=fault_schedule,
-                redispatch=redispatch,
-                retry_seed=seed,
-            )
-        )
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.recorder = RunRecorder(description=description)
         rng_factory = RngFactory(seed)
@@ -246,6 +231,23 @@ class FederatedSimulation:
         self.byzantine_indices = np.asarray(sorted(byzantine), dtype=int)
         if len(self.byzantine_indices):
             check_byzantine_count(len(self.byzantine_indices), len(self.clients))
+        # Built last: the "process" backend spawns its worker fleet here, so
+        # no later validation can raise and strand it.
+        self.collector = (
+            collector
+            if collector is not None
+            else make_collector(
+                n_workers=n_workers,
+                backend=collect_backend,
+                workers=workers,
+                connect_timeout=connect_timeout,
+                round_timeout=round_timeout,
+                wire_codec=wire_codec,
+                fault_schedule=fault_schedule,
+                redispatch=redispatch,
+                retry_seed=seed,
+            )
+        )
 
     @property
     def num_clients(self) -> int:

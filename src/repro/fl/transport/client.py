@@ -47,6 +47,7 @@ from repro.fl.transport.protocol import (
     RemoteWorkerError,
     TransportError,
     hello_header,
+    worker_key,
 )
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, as_rng
@@ -162,7 +163,11 @@ class WorkerConnection:
         try:
             channel.send(
                 MSG_HELLO,
-                hello_header(model_signature(model), wire_codec=self.wire_codec),
+                hello_header(
+                    model_signature(model),
+                    wire_codec=self.wire_codec,
+                    key=worker_key(self.address),
+                ),
             )
             header, _ = channel.expect(MSG_WELCOME)
         except RemoteWorkerError as exc:

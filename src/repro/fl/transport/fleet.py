@@ -10,7 +10,10 @@ flavours:
   scraped from its startup line, with BLAS threads pinned to its share of
   the cores.  This is what ``"process"`` runs on; use it directly to
   exercise true process isolation, or to kill a worker and watch the
-  dropout semantics.
+  dropout semantics.  Each worker requires a random handshake key that
+  only this process knows (registered with
+  :func:`~repro.fl.transport.protocol.register_worker_key`), and exits
+  when this process dies.
 * :func:`start_thread_fleet` — in-process
   :class:`~repro.fl.transport.worker.WorkerServer` threads.  Cheaper and
   quieter; the wire protocol is identical (real TCP sockets over
@@ -21,28 +24,37 @@ Both return context-managed handles that tear the fleet down on exit.
 
 from __future__ import annotations
 
-import ctypes
 import os
+import secrets
 import selectors
-import signal
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fl.faults import FaultSchedule
+from repro.fl.transport.protocol import forget_worker_key, register_worker_key
+from repro.fl.transport.worker import KEY_ENV, PARENT_ENV, WorkerServer
 from repro.perf.timers import monotonic
-from repro.fl.transport.worker import WorkerServer
 
 
 class WorkerProcess:
     """Handle on one spawned ``repro-worker`` subprocess."""
 
-    def __init__(self, process: subprocess.Popen, address: str, stderr_file=None):
+    def __init__(
+        self,
+        process: subprocess.Popen,
+        address: str,
+        stderr_file=None,
+        key: Optional[str] = None,
+    ):
         self.process = process
         self.address = address
         self._stderr_file = stderr_file
+        #: The handshake key the worker requires (see :data:`KEY_ENV`).
+        self.key = key
 
     @property
     def alive(self) -> bool:
@@ -52,8 +64,13 @@ class WorkerProcess:
         """The last ``limit`` characters the worker wrote to stderr."""
         return _stderr_tail(self._stderr_file, limit)
 
-    def _close_files(self) -> None:
-        """Close the captured stderr file and the stdout pipe (idempotent)."""
+    def _release(self) -> None:
+        """Forget the worker's key; close its stderr file and stdout pipe.
+
+        Idempotent.
+        """
+        if self.key is not None and self.address:
+            forget_worker_key(self.address, self.key)
         for handle in (self._stderr_file, self.process.stdout):
             if handle is not None:
                 try:
@@ -66,7 +83,7 @@ class WorkerProcess:
         """Hard-kill the worker (simulates a host failure)."""
         self.process.kill()
         self.process.wait(timeout=10)
-        self._close_files()
+        self._release()
 
     def terminate(self) -> None:
         if self.process.poll() is None:
@@ -76,22 +93,32 @@ class WorkerProcess:
             except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                 self.process.kill()
                 self.process.wait(timeout=5)
-        self._close_files()
+        self._release()
+
+
+def _terminate_workers(workers: List[WorkerProcess]) -> None:
+    for worker in workers:
+        worker.terminate()
 
 
 class LocalFleet:
-    """A context-managed set of localhost worker processes."""
+    """A context-managed set of localhost worker processes.
+
+    The workers are terminated by :meth:`terminate`, or at the latest when
+    the fleet is garbage-collected or the interpreter exits — a caller that
+    raised before it could terminate the fleet leaves no worker serving.
+    """
 
     def __init__(self, workers: List[WorkerProcess]):
         self.workers = workers
+        self._finalizer = weakref.finalize(self, _terminate_workers, workers)
 
     @property
     def addresses(self) -> List[str]:
         return [worker.address for worker in self.workers]
 
     def terminate(self) -> None:
-        for worker in self.workers:
-            worker.terminate()
+        self._finalizer()
 
     def __enter__(self) -> "LocalFleet":
         return self
@@ -100,9 +127,6 @@ class LocalFleet:
         self.terminate()
 
 
-#: ``prctl`` option: the signal a child receives when its spawner exits.
-_PR_SET_PDEATHSIG = 1
-
 #: BLAS/OpenMP thread-count variables a fleet pins in its workers.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -110,9 +134,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def _worker_environment(blas_threads: Optional[int] = None) -> dict:
     """Subprocess environment with this interpreter's ``repro`` importable.
 
-    ``blas_threads`` sets each of :data:`BLAS_THREAD_VARS` the caller's
-    environment leaves unset, so co-located workers do not oversubscribe
-    the cores with BLAS threads.
+    The worker is told this process's PID (:data:`PARENT_ENV`) so it exits
+    when this process dies.  ``blas_threads`` sets each of
+    :data:`BLAS_THREAD_VARS` the caller's environment leaves unset, so
+    co-located workers do not oversubscribe the cores with BLAS threads.
     """
     import repro
 
@@ -122,6 +147,7 @@ def _worker_environment(blas_threads: Optional[int] = None) -> dict:
     env["PYTHONPATH"] = (
         package_root if not existing else os.pathsep.join([package_root, existing])
     )
+    env[PARENT_ENV] = str(os.getpid())
     if blas_threads is not None:
         for name in BLAS_THREAD_VARS:
             env.setdefault(name, str(blas_threads))
@@ -140,32 +166,6 @@ def _stderr_tail(stderr_file, limit: int = 2000) -> str:
     return text[-limit:].strip()
 
 
-def _die_with_parent_hook() -> Optional[Callable[[], None]]:
-    """A ``preexec_fn`` that makes the child die with its spawner (Linux).
-
-    ``prctl(PR_SET_PDEATHSIG, SIGTERM)``: the kernel sends the worker
-    SIGTERM when the *thread* that spawned it exits, so a killed caller
-    cannot leave a fleet serving forever.  Elsewhere this is a no-op
-    (``None``).
-    """
-    if not sys.platform.startswith("linux"):
-        return None
-    try:
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-    except (OSError, AttributeError):  # pragma: no cover - exotic libc
-        return None
-    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    prctl.restype = ctypes.c_int
-    spawner = os.getpid()
-
-    def hook() -> None:
-        prctl(_PR_SET_PDEATHSIG, int(signal.SIGTERM))
-        if os.getppid() != spawner:  # the spawner died before the prctl
-            os._exit(1)
-
-    return hook
-
-
 def _launch_worker(
     host: str,
     port: int,
@@ -173,7 +173,11 @@ def _launch_worker(
     allow_pickle_setup: bool,
     env: dict,
 ) -> WorkerProcess:
-    """Start one ``repro-worker`` subprocess; its address is not known yet."""
+    """Start one ``repro-worker`` subprocess; its address is not known yet.
+
+    The worker gets a fresh random handshake key through its environment.
+    """
+    key = secrets.token_hex(16)
     stderr_file = tempfile.TemporaryFile(mode="w+", prefix="repro-worker-stderr-")
     process = subprocess.Popen(
         [
@@ -190,10 +194,9 @@ def _launch_worker(
         stdout=subprocess.PIPE,
         stderr=stderr_file,
         text=True,
-        env=env,
-        preexec_fn=_die_with_parent_hook(),
+        env={**env, KEY_ENV: key},
     )
-    return WorkerProcess(process, "", stderr_file)
+    return WorkerProcess(process, "", stderr_file, key)
 
 
 def _await_address(
@@ -217,12 +220,13 @@ def _await_address(
             else f"printed no address within {startup_timeout:.0f}s"
         )
         tail = worker.stderr_tail()
-        worker._close_files()
+        worker._release()
         raise RuntimeError(
             f"{label} failed to start: {detail} (first stdout line: {line!r})"
             + (f"\n--- worker stderr ---\n{tail}" if tail else "")
         )
     worker.address = line.rsplit(" ", 1)[-1].strip()
+    register_worker_key(worker.address, worker.key)
     return worker
 
 
@@ -240,9 +244,9 @@ def spawn_worker_process(
     Startup is bounded: if the worker exits or stays silent past
     ``startup_timeout``, it is killed and a ``RuntimeError`` names the
     worker (``worker_index``, when given), its exit code, and the tail of
-    its captured stderr.  On Linux the worker dies with the thread that
-    spawned it (``PR_SET_PDEATHSIG``), so a killed caller leaves no
-    orphaned workers behind.
+    its captured stderr.  The worker requires a handshake key that only
+    this process knows, and exits when this process dies, so a killed
+    caller leaves no orphaned worker behind.
 
     ``allow_pickle_setup`` defaults to True (passing ``--allow-pickle-setup``
     to the subprocess): this helper spawns loopback workers for the caller

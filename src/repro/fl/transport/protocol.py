@@ -17,7 +17,9 @@ The wire conversation between a caller (the
    not support, or — when it already holds a population shard from an
    earlier connection — on a signature mismatch.  Otherwise it answers
    ``WELCOME`` with ``has_shard`` so the caller knows whether setup is
-   needed.
+   needed.  A worker spawned by this process's fleet helpers also
+   requires the per-worker key its spawner registered (see
+   :func:`register_worker_key`) and refuses a HELLO without it.
 2. **Setup** (only when the worker has no shard) — caller sends ``SETUP``
    carrying its chunk of the client population and a model replica; the
    worker verifies the replica's signature against the one claimed in
@@ -38,6 +40,7 @@ The wire conversation between a caller (the
 
 from __future__ import annotations
 
+import hmac
 import socket
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -64,6 +67,31 @@ PROTOCOL_VERSION = 2
 
 #: Leading bytes of every HELLO header's ``magic`` field.
 PROTOCOL_MAGIC = "repro-collect"
+
+
+#: Handshake keys of the worker processes this interpreter spawned, by
+#: ``host:port`` address.  A spawner hands each worker its key through the
+#: environment (never argv, which other local users can read) and records
+#: it here; every connection to that address presents it in HELLO.  A
+#: process elsewhere on the host that reaches the loopback port therefore
+#: cannot complete the handshake, let alone send a pickled SETUP.
+_WORKER_KEYS: Dict[str, str] = {}
+
+
+def register_worker_key(address: str, key: str) -> None:
+    """Record ``key`` as the handshake key of the worker at ``address``."""
+    _WORKER_KEYS[address.strip()] = key
+
+
+def forget_worker_key(address: str, key: str) -> None:
+    """Drop ``address``'s key, unless a newer worker has re-registered it."""
+    if _WORKER_KEYS.get(address.strip()) == key:
+        del _WORKER_KEYS[address.strip()]
+
+
+def worker_key(address: str) -> Optional[str]:
+    """The handshake key registered for ``address`` (None: no key)."""
+    return _WORKER_KEYS.get(address.strip())
 
 
 class TransportError(ConnectionError):
@@ -149,21 +177,34 @@ class Channel:
         self.sock.close()
 
 
-def hello_header(signature: str, wire_codec: str = "raw") -> Dict[str, Any]:
-    """The HELLO header a caller sends to open a connection."""
-    return {
+def hello_header(
+    signature: str, wire_codec: str = "raw", key: Optional[str] = None
+) -> Dict[str, Any]:
+    """The HELLO header a caller sends to open a connection.
+
+    ``key`` is the worker's handshake key (:func:`worker_key`), for
+    workers that require one.
+    """
+    header = {
         "magic": PROTOCOL_MAGIC,
         "protocol": PROTOCOL_VERSION,
         "model_signature": signature,
         "wire_codec": wire_codec,
     }
+    if key is not None:
+        header["key"] = key
+    return header
 
 
 def check_hello(
     header: Dict[str, Any],
     supported_codecs: Optional[Sequence[str]] = None,
+    key: Optional[str] = None,
 ) -> Optional[str]:
     """Validate an incoming HELLO header; return a refusal reason or None.
+
+    ``key`` is the worker's handshake key: when set, a HELLO that does not
+    carry it is refused before anything else is checked.
 
     ``supported_codecs`` restricts which gradient wire codecs the worker
     will serve (``None`` = every registered codec).  A caller announcing
@@ -172,6 +213,10 @@ def check_hello(
     """
     if header.get("magic") != PROTOCOL_MAGIC:
         return f"not a {PROTOCOL_MAGIC} peer"
+    if key is not None and not hmac.compare_digest(
+        str(header.get("key", "")).encode(), key.encode()
+    ):
+        return "HELLO failed authentication: wrong or missing worker key"
     version = header.get("protocol")
     if version != PROTOCOL_VERSION:
         return (

@@ -38,10 +38,17 @@ to a non-loopback interface where any peer that can complete the
 handshake could submit a pickle.  The in-process and local-subprocess
 fleet helpers (:func:`~repro.fl.transport.fleet.start_thread_fleet`,
 :func:`~repro.fl.transport.fleet.spawn_local_fleet`) enable the gate —
-they only ever talk to themselves over loopback.  The handshake's
-magic/version/signature checks guard against accidents, not adversaries;
-the state-dict broadcasts and gradient shards themselves are
-pickle-free.
+they only ever talk to themselves over loopback.  A subprocess they spawn
+also receives a random handshake key through its environment
+(:data:`KEY_ENV`) and refuses any HELLO that does not carry it, so other
+processes on the host cannot reach its SETUP path through the loopback
+port.  The handshake's magic/version/signature checks guard against
+accidents, not adversaries; the state-dict broadcasts and gradient shards
+themselves are pickle-free.
+
+A spawned worker also watches its spawner: with :data:`PARENT_ENV` set
+to the spawner's PID, the worker exits once that process is no longer its
+parent, so a caller that is killed leaves no worker serving.
 
 Fault injection: ``--fault KIND@ROUND[:SECONDS]`` (repeatable) attaches a
 :class:`~repro.fl.faults.FaultSchedule` to the worker — the one
@@ -98,6 +105,15 @@ from repro.fl.transport.protocol import PROTOCOL_VERSION, Channel, check_hello
 from repro.nn.module import Module
 from repro.perf.timers import monotonic
 from repro.utils.serialization import arrays_to_blob
+
+#: Environment variable carrying a spawned worker's handshake key.
+KEY_ENV = "REPRO_WORKER_KEY"
+
+#: Environment variable carrying the PID of a spawned worker's spawner.
+PARENT_ENV = "REPRO_WORKER_PARENT"
+
+#: Seconds between a spawned worker's checks that its spawner is alive.
+PARENT_POLL_S = 0.5
 
 
 class WorkerServer:
@@ -173,6 +189,9 @@ class WorkerServer:
         self._codecs: Dict[str, GradientCodec] = {}
         self._rounds_received = 0
         self._hellos_received = 0
+        #: Handshake key every HELLO must carry (``None``: none required).
+        #: :func:`main` takes it from :data:`KEY_ENV`.
+        self.auth_key: Optional[str] = None
 
     @property
     def address(self) -> str:
@@ -243,7 +262,7 @@ class WorkerServer:
             # connect-retry policy is built for (a real HandshakeError,
             # being an explicit refusal, is deliberately NOT retried).
             return
-        refusal = check_hello(header, self.supported_codecs)
+        refusal = check_hello(header, self.supported_codecs, self.auth_key)
         claimed_signature = header.get("model_signature")
         if refusal is None and self.has_shard and claimed_signature != self._signature:
             refusal = (
@@ -493,6 +512,23 @@ class WorkerServer:
         )
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this process once ``parent_pid`` is no longer its parent.
+
+    Polls ``os.getppid()`` from a daemon thread: when the spawner dies the
+    worker is re-parented and exits within :data:`PARENT_POLL_S`.  The
+    check follows the spawning *process*, so a spawner thread that exits
+    while its process lives on does not end the fleet.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-worker-parent", daemon=True).start()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-worker",
@@ -532,6 +568,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    parent = os.environ.pop(PARENT_ENV, None)
+    if parent:
+        _exit_with_parent(int(parent))
     server = WorkerServer(
         args.host,
         args.port,
@@ -540,6 +579,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         hard_crash=True,
         allow_pickle_setup=bool(args.allow_pickle_setup),
     )
+    server.auth_key = os.environ.pop(KEY_ENV, None) or None
     print(f"repro-worker listening on {server.address}", flush=True)
     try:
         server.serve_forever()

@@ -5,9 +5,11 @@ deliberately pickle-free (JSON manifests + raw array bytes), so a
 malicious or corrupted peer can never execute code through a payload.
 The one documented exception is the trusted-operator data-plane handoff:
 the transport ``SETUP`` path ships client populations as pickles between
-machines the operator controls (``worker.py`` / ``client.py``) — the
-local ``process`` collect backend included, whose workers are
-``repro-worker`` subprocesses on the same host.
+machines the operator controls (``worker.py`` / ``client.py``).  The
+local ``process`` collect backend uses the same path: its workers are
+``repro-worker`` subprocesses on the same host, each refusing any
+handshake that lacks the random key its spawner handed it, so only the
+spawning process can send them a pickle.
 
 Any *new* ``import pickle`` — in checkpoint, codec, aggregator, or
 anywhere else — is an error: it either widens the trust boundary or

@@ -9,7 +9,10 @@ be bit-identical to the sequential path at any worker count, across rounds,
 including BatchNorm buffer state and evaluation metrics; client exceptions
 propagate; a dead worker's rows are re-dispatched to the survivors; the
 buffer is NaN-invalidated against stale rows.  ``close()`` terminates the
-workers, and so does the death of the process that spawned them.
+workers, and so does the death of the process that spawned them (but not
+the end of the thread that spawned them) or the fleet being
+garbage-collected.  A worker answers only the process that spawned it: a
+handshake without its key is refused.
 
 The fleet helpers themselves are covered here too: concurrent spawn, the
 BLAS thread pinning, startup failure reporting, and the worker's import
@@ -20,11 +23,14 @@ The suite uses 2 workers and tiny populations so it stays fast on one core.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -32,10 +38,20 @@ import numpy as np
 import pytest
 
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
+from repro.aggregators import MeanAggregator
 from repro.fl.collector import SequentialCollector, build_collector
 from repro.fl.experiment import run_experiment
-from repro.fl.transport import DistributedCollector, spawn_local_fleet
+from repro.fl.server import FederatedServer
+from repro.fl.simulation import FederatedSimulation
+from repro.fl.transport import (
+    DistributedCollector,
+    model_signature,
+    parse_address,
+    spawn_local_fleet,
+)
+from repro.fl.transport.codec import MSG_ERROR, MSG_HELLO
 from repro.fl.transport.fleet import BLAS_THREAD_VARS
+from repro.fl.transport.protocol import Channel, hello_header
 from test_fl_parallel_collect import (
     BatchNormMLP,
     exploding_client,
@@ -76,6 +92,34 @@ def process_state(pid):
             return stat.read().rsplit(")", 1)[1].split()[0]
     except OSError:
         return None
+
+
+def spawned_workers():
+    """PIDs of live ``repro-worker`` children of this process."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+                command = cmdline.read()
+        except OSError:
+            continue
+        state, ppid = fields[0], int(fields[1])
+        if (
+            ppid == os.getpid()
+            and state != "Z"
+            and b"repro.fl.transport.worker" in command
+        ):
+            pids.add(int(entry))
+    return pids
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="needs /proc to observe workers"
+)
 
 
 class TestBitEquality:
@@ -349,9 +393,8 @@ class TestLocalFleet:
             spawn_local_fleet(2, extra_args=["--no-such-flag"])
         assert "--no-such-flag" in str(info.value)  # the stderr tail
 
+    @needs_proc
     def test_workers_die_with_a_killed_spawner(self):
-        if not sys.platform.startswith("linux"):
-            pytest.skip("parent-death signal is Linux-only")
         script = textwrap.dedent(
             """
             import time
@@ -401,6 +444,74 @@ class TestLocalFleet:
                 spawner.kill()
                 spawner.wait(timeout=10)
             spawner.stdout.close()
+
+    @needs_proc
+    def test_fleet_outlives_the_thread_that_spawned_it(self):
+        # Workers follow their spawning *process*: a collector built in a
+        # short-lived thread keeps its fleet once that thread has ended.
+        built = []
+        spawner = threading.Thread(target=lambda: built.append(process_collector()))
+        spawner.start()
+        spawner.join()
+        time.sleep(1.0)
+        with built[0] as collector:
+            assert all(worker.alive for worker in collector.fleet.workers)
+            clients = make_clients(4)
+            model = make_model()
+            out = np.empty((4, model.num_parameters()))
+            collector.collect(clients, model, out)
+            assert collector.failed_rows == ()
+        reference = np.empty_like(out)
+        SequentialCollector().collect(make_clients(4), model, reference)
+        assert np.array_equal(reference, out)
+
+    @needs_proc
+    def test_dropped_fleet_terminates_its_workers(self):
+        fleet = spawn_local_fleet(2)
+        pids = {worker.process.pid for worker in fleet.workers}
+        assert pids <= spawned_workers()
+        del fleet
+        gc.collect()
+        assert not pids & spawned_workers()
+
+    @needs_proc
+    def test_rejected_simulation_leaves_no_workers(self):
+        before = spawned_workers()
+        model = make_model()
+        server = FederatedServer(model, MeanAggregator(), learning_rate=0.1)
+        with pytest.raises(ValueError):
+            FederatedSimulation(
+                server,
+                make_clients(4),
+                None,
+                None,
+                n_workers=2,
+                collect_backend="process",
+                participation="no-such-schedule",
+            )
+        gc.collect()
+        assert spawned_workers() <= before
+
+    def test_handshake_without_the_worker_key_is_refused(self):
+        model = make_model()
+        with process_collector() as collector:
+            host, port = parse_address(collector.fleet.addresses[0])
+            for key in (None, "0" * 32):
+                with socket.create_connection((host, port), timeout=10) as sock:
+                    channel = Channel(sock)
+                    channel.settimeout(10)
+                    channel.send(
+                        MSG_HELLO, hello_header(model_signature(model), key=key)
+                    )
+                    msg_type, header, _ = channel.recv()
+                assert msg_type == MSG_ERROR
+                assert "authentication" in header["error"]
+            # The spawning process presents the key and is served.
+            clients = make_clients(4)
+            out = np.empty((4, model.num_parameters()))
+            collector.collect(clients, model, out)
+            assert collector.failed_rows == ()
+            assert np.all(np.isfinite(out))
 
     def test_worker_import_does_not_load_scipy(self):
         # scipy.stats is LIE's z_max helper's dependency only; importing it

@@ -8,7 +8,9 @@ that untrusted peers can reach must be able to refuse them.  The gate:
 * the ``repro-worker`` CLI defaults the gate **closed** and opens it
   only with ``--allow-pickle-setup``;
 * the fleet helpers (thread fleet, local subprocess fleet) keep working
-  untouched — they serve only their own caller over loopback;
+  untouched — they serve only their own caller over loopback (a spawned
+  subprocess also demands its spawner's handshake key, which these tests
+  present as the spawner);
 * the ``WELCOME`` header advertises ``accepts_pickle_setup`` so callers
   can fail fast.
 """
@@ -20,7 +22,7 @@ import pytest
 
 from repro.fl.transport.codec import MSG_ERROR, MSG_HELLO, MSG_SETUP, MSG_WELCOME
 from repro.fl.transport.fleet import spawn_worker_process
-from repro.fl.transport.protocol import Channel, hello_header
+from repro.fl.transport.protocol import Channel, hello_header, worker_key
 from repro.fl.transport.worker import WorkerServer, main as worker_main
 
 
@@ -28,7 +30,7 @@ def _handshake(address: str, signature: str = "0" * 16) -> Channel:
     host, port = address.rsplit(":", 1)
     channel = Channel(socket.create_connection((host, int(port)), timeout=10))
     channel.settimeout(10)
-    channel.send(MSG_HELLO, hello_header(signature))
+    channel.send(MSG_HELLO, hello_header(signature, key=worker_key(address)))
     return channel
 
 
