@@ -178,19 +178,15 @@ def _collect_client(
             module.stats_log = None
 
 
-def _stochastic_forward_modules(model: Module) -> List[str]:
-    """Names of sub-modules whose forward pass consumes a model-owned RNG."""
-    return [
+def _check_deterministic_forward(model: Module, backend: str) -> None:
+    """Refuse models whose forward pass consumes a model-owned RNG."""
+    stochastic = [
         type(module).__name__
         for module in model.modules()
         if any(
             isinstance(value, np.random.Generator) for value in vars(module).values()
         )
     ]
-
-
-def _check_deterministic_forward(model: Module, backend: str) -> None:
-    stochastic = _stochastic_forward_modules(model)
     if stochastic:
         raise ValueError(
             f"{backend} cannot guarantee sequential-equivalent results for "
@@ -440,7 +436,10 @@ def build_collector(
     spawns a local fleet of ``n_workers`` ``repro-worker`` subprocesses
     and returns a
     :class:`~repro.fl.transport.collector.DistributedCollector` that owns
-    it (``close()`` terminates the workers).  ``"distributed"`` ignores
+    it (``close()`` terminates the workers, as does garbage collection of
+    the fleet).  The workers answer only this process — each requires a
+    random handshake key that this process holds — and exit when this
+    process dies, whichever thread spawned them.  ``"distributed"`` ignores
     ``n_workers`` and drives the fleet named by ``workers`` (``host:port``
     specs).
 

@@ -46,8 +46,8 @@ from repro.fl.transport.protocol import (
     HandshakeError,
     RemoteWorkerError,
     TransportError,
+    WORKER_KEYS,
     hello_header,
-    worker_key,
 )
 from repro.nn.module import Module
 from repro.utils.rng import RngLike, as_rng
@@ -166,7 +166,7 @@ class WorkerConnection:
                 hello_header(
                     model_signature(model),
                     wire_codec=self.wire_codec,
-                    key=worker_key(self.address),
+                    key=WORKER_KEYS.get(self.address),
                 ),
             )
             header, _ = channel.expect(MSG_WELCOME)

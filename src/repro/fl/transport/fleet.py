@@ -11,8 +11,8 @@ flavours:
   the cores.  This is what ``"process"`` runs on; use it directly to
   exercise true process isolation, or to kill a worker and watch the
   dropout semantics.  Each worker requires a random handshake key that
-  only this process knows (registered with
-  :func:`~repro.fl.transport.protocol.register_worker_key`), and exits
+  only this process knows (recorded in
+  :data:`~repro.fl.transport.protocol.WORKER_KEYS`), and exits
   when this process dies.
 * :func:`start_thread_fleet` — in-process
   :class:`~repro.fl.transport.worker.WorkerServer` threads.  Cheaper and
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.fl.faults import FaultSchedule
-from repro.fl.transport.protocol import forget_worker_key, register_worker_key
+from repro.fl.transport.protocol import WORKER_KEYS
 from repro.fl.transport.worker import KEY_ENV, PARENT_ENV, WorkerServer
 from repro.perf.timers import monotonic
 
@@ -69,8 +69,8 @@ class WorkerProcess:
 
         Idempotent.
         """
-        if self.key is not None and self.address:
-            forget_worker_key(self.address, self.key)
+        if self.key is not None and WORKER_KEYS.get(self.address) == self.key:
+            del WORKER_KEYS[self.address]  # unless a newer worker took it
         for handle in (self._stderr_file, self.process.stdout):
             if handle is not None:
                 try:
@@ -226,7 +226,7 @@ def _await_address(
             + (f"\n--- worker stderr ---\n{tail}" if tail else "")
         )
     worker.address = line.rsplit(" ", 1)[-1].strip()
-    register_worker_key(worker.address, worker.key)
+    WORKER_KEYS[worker.address] = worker.key
     return worker
 
 
@@ -284,6 +284,22 @@ def _read_line_with_timeout(process: subprocess.Popen, timeout: float):
     return None
 
 
+def _fleet_schedule(
+    n_workers: int, fault_schedule: Optional[FaultSchedule]
+) -> FaultSchedule:
+    """Validate a fleet size and the fleet-wide schedule that targets it."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    schedule = fault_schedule or FaultSchedule()
+    for worker in schedule.worker_indices():
+        if worker >= n_workers:
+            raise ValueError(
+                f"fault schedule targets worker {worker} but the fleet has "
+                f"only {n_workers} workers"
+            )
+    return schedule
+
+
 def spawn_local_fleet(
     n_workers: int,
     *,
@@ -310,15 +326,7 @@ def spawn_local_fleet(
     worker receives its own specs as ``--fault`` CLI arguments (worker
     *i*'s specs are re-keyed to the single-process worker's index 0).
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    schedule = fault_schedule or FaultSchedule()
-    for worker in schedule.worker_indices():
-        if worker >= n_workers:
-            raise ValueError(
-                f"fault schedule targets worker {worker} but the fleet has "
-                f"only {n_workers} workers"
-            )
+    schedule = _fleet_schedule(n_workers, fault_schedule)
     env = _worker_environment(max(1, (os.cpu_count() or 1) // n_workers))
     launched: List[Tuple[WorkerProcess, float]] = []
     try:
@@ -374,15 +382,7 @@ def start_thread_fleet(
     :class:`WorkerServer` knobs in ``worker_kwargs`` apply to every
     worker.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    schedule = fault_schedule or FaultSchedule()
-    for worker in schedule.worker_indices():
-        if worker >= n_workers:
-            raise ValueError(
-                f"fault schedule targets worker {worker} but the fleet has "
-                f"only {n_workers} workers"
-            )
+    schedule = _fleet_schedule(n_workers, fault_schedule)
     servers = [
         WorkerServer(fault_schedule=schedule.for_worker(index), **worker_kwargs)
         for index in range(n_workers)

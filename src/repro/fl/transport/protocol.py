@@ -18,8 +18,8 @@ The wire conversation between a caller (the
    earlier connection — on a signature mismatch.  Otherwise it answers
    ``WELCOME`` with ``has_shard`` so the caller knows whether setup is
    needed.  A worker spawned by this process's fleet helpers also
-   requires the per-worker key its spawner registered (see
-   :func:`register_worker_key`) and refuses a HELLO without it.
+   requires the per-worker key its spawner registered in
+   :data:`WORKER_KEYS` and refuses a HELLO without it.
 2. **Setup** (only when the worker has no shard) — caller sends ``SETUP``
    carrying its chunk of the client population and a model replica; the
    worker verifies the replica's signature against the one claimed in
@@ -75,23 +75,7 @@ PROTOCOL_MAGIC = "repro-collect"
 #: it here; every connection to that address presents it in HELLO.  A
 #: process elsewhere on the host that reaches the loopback port therefore
 #: cannot complete the handshake, let alone send a pickled SETUP.
-_WORKER_KEYS: Dict[str, str] = {}
-
-
-def register_worker_key(address: str, key: str) -> None:
-    """Record ``key`` as the handshake key of the worker at ``address``."""
-    _WORKER_KEYS[address.strip()] = key
-
-
-def forget_worker_key(address: str, key: str) -> None:
-    """Drop ``address``'s key, unless a newer worker has re-registered it."""
-    if _WORKER_KEYS.get(address.strip()) == key:
-        del _WORKER_KEYS[address.strip()]
-
-
-def worker_key(address: str) -> Optional[str]:
-    """The handshake key registered for ``address`` (None: no key)."""
-    return _WORKER_KEYS.get(address.strip())
+WORKER_KEYS: Dict[str, str] = {}
 
 
 class TransportError(ConnectionError):
@@ -182,7 +166,7 @@ def hello_header(
 ) -> Dict[str, Any]:
     """The HELLO header a caller sends to open a connection.
 
-    ``key`` is the worker's handshake key (:func:`worker_key`), for
+    ``key`` is the worker's handshake key (:data:`WORKER_KEYS`), for
     workers that require one.
     """
     header = {

@@ -22,7 +22,7 @@ import pytest
 
 from repro.fl.transport.codec import MSG_ERROR, MSG_HELLO, MSG_SETUP, MSG_WELCOME
 from repro.fl.transport.fleet import spawn_worker_process
-from repro.fl.transport.protocol import Channel, hello_header, worker_key
+from repro.fl.transport.protocol import WORKER_KEYS, Channel, hello_header
 from repro.fl.transport.worker import WorkerServer, main as worker_main
 
 
@@ -30,7 +30,7 @@ def _handshake(address: str, signature: str = "0" * 16) -> Channel:
     host, port = address.rsplit(":", 1)
     channel = Channel(socket.create_connection((host, int(port)), timeout=10))
     channel.settimeout(10)
-    channel.send(MSG_HELLO, hello_header(signature, key=worker_key(address)))
+    channel.send(MSG_HELLO, hello_header(signature, key=WORKER_KEYS.get(address)))
     return channel
 
 
