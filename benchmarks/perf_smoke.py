@@ -107,6 +107,7 @@ from repro.perf import (  # noqa: E402
 )
 from repro.perf import reference as ref  # noqa: E402
 from repro.utils.batch import GradientBatch  # noqa: E402
+from repro.utils.config import TrainingConfig  # noqa: E402
 from repro.utils.rng import RngFactory  # noqa: E402
 
 import large_cohort  # noqa: E402  (sibling module in benchmarks/)
@@ -214,6 +215,12 @@ def make_collect_population(
     return clients, model, buffer
 
 
+def process_collector(n_workers: int):
+    """A ``process`` collector over a fresh local fleet of ``n_workers``."""
+    config = TrainingConfig(collect_backend="process", n_workers=n_workers)
+    return make_collector(config)
+
+
 def check_collect_equivalence(n_clients: int) -> None:
     """The ``process`` backend's float64 collect must be bit-identical to
     sequential (same per-client RNG streams, fixed before dispatch)."""
@@ -224,7 +231,7 @@ def check_collect_equivalence(n_clients: int) -> None:
         n_clients, latency_s=0.0, plain_clients=True
     )
     SequentialCollector().collect(clients_a, model, buffer_a)
-    with make_collector(backend="process", n_workers=2) as collector:
+    with process_collector(2) as collector:
         collector.collect(clients_b, model, buffer_b)
     _require(
         bool(np.array_equal(buffer_a, buffer_b)),
@@ -242,7 +249,7 @@ def check_sampled_collect_equivalence(n_clients: int) -> None:
     reference = buffer_full[rows]
     for label, build in (
         ("sequential", SequentialCollector),
-        ("process", lambda: make_collector(backend="process", n_workers=2)),
+        ("process", lambda: process_collector(2)),
     ):
         clients, _, _ = make_collect_population(
             n_clients, latency_s=0.0, plain_clients=True
@@ -524,15 +531,13 @@ def main(argv=None) -> int:
         name="collect_gradients_cpu_bound/sequential",
         repeats=repeats,
     )
-    with make_collector(
-        backend="process", n_workers=collect_workers
-    ) as process_collector:
+    with process_collector(collect_workers) as cpu_collector:
         process_collect = run_benchmark(
-            lambda: process_collector.collect(cpu_clients, cpu_model, cpu_buffer),
+            lambda: cpu_collector.collect(cpu_clients, cpu_model, cpu_buffer),
             name=f"collect_gradients_cpu_bound/process{collect_workers}",
             repeats=repeats,
         )
-        process_bytes_round = sum(process_collector.last_round_bytes)
+        process_bytes_round = sum(cpu_collector.last_round_bytes)
     process_collect_speedup = speedup(cpu_sequential, process_collect)
     print(
         f"collect_gradients_cpu_bound/process: {process_collect_speedup:.2f}x "
@@ -584,7 +589,7 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     # Per-stage profile of real federated rounds (context numbers)
     # ------------------------------------------------------------------
-    from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
+    from repro import DataConfig, DefenseConfig, ExperimentConfig
     from repro.fl import run_experiment
 
     profiler = RoundProfiler()

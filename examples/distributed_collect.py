@@ -56,7 +56,6 @@ from repro.fl.transport import (
     spawn_worker_process,
     wire_codec_names,
 )
-from repro.perf import RoundProfiler
 
 
 def make_config(**training) -> ExperimentConfig:
@@ -90,7 +89,6 @@ def main(argv=None) -> None:
     sequential = run_experiment(make_config(collect_backend="sequential"))
 
     print(f"2/3  Same run over a two-worker localhost fleet (codec: {codec})...")
-    profiler = RoundProfiler()
     with spawn_local_fleet(2) as fleet:
         print(f"     workers: {fleet.addresses}")
         distributed = run_experiment(
@@ -98,8 +96,7 @@ def main(argv=None) -> None:
                 collect_backend="distributed",
                 workers=fleet.addresses,
                 wire_codec=codec,
-            ),
-            profiler=profiler,
+            )
         )
 
     seq_losses = [round.train_loss for round in sequential.rounds]
@@ -107,8 +104,8 @@ def main(argv=None) -> None:
     seq_accs = [round.test_accuracy for round in sequential.rounds]
     dist_accs = [round.test_accuracy for round in distributed.rounds]
     identical = seq_losses == dist_losses and seq_accs == dist_accs
-    sent = profiler.counters.get("collect_bytes_sent", 0)
-    received = profiler.counters.get("collect_bytes_received", 0)
+    sent = sum(round.bytes_sent for round in distributed.rounds)
+    received = sum(round.bytes_received for round in distributed.rounds)
     rounds = len(distributed.rounds)
     print("\n--- sequential vs distributed ----------------------------------")
     for index in range(rounds):

@@ -117,8 +117,7 @@ def quorum_simulation(on_quorum_loss: str) -> FederatedSimulation:
         model, build_aggregator("signguard", {}), rng=factory.make("server")
     )
     collector = make_collector(
-        backend="process",
-        n_workers=2,
+        TrainingConfig(collect_backend="process", n_workers=2),
         redispatch=False,
         fault_schedule=FaultSchedule.from_args(["crash@3"], worker=1),
     )

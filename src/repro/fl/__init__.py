@@ -17,10 +17,8 @@ from repro.fl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.fl.client import BenignClient, ByzantineClient, FederatedClient
 from repro.fl.collector import (
     COLLECT_BACKENDS,
-    COLLECTOR_REGISTRY,
     GradientCollector,
     SequentialCollector,
-    build_collector,
     make_collector,
 )
 from repro.fl.faults import (
@@ -46,7 +44,7 @@ from repro.fl.experiment import run_experiment, run_grid
 
 #: Names re-exported lazily from the transport package: the distributed
 #: backend and the wire-codec layer pull in socket machinery that purely
-#: in-process runs never need (build_collector defers the same import for
+#: in-process runs never need (make_collector defers the same import for
 #: the same reason).
 _TRANSPORT_EXPORTS = {
     "DistributedCollector": "repro.fl.transport.collector",
@@ -76,10 +74,8 @@ __all__ = [
     "GradientCollector",
     "SequentialCollector",
     "DistributedCollector",
-    "build_collector",
     "make_collector",
     "COLLECT_BACKENDS",
-    "COLLECTOR_REGISTRY",
     "GradientCodec",
     "CodecError",
     "build_codec",

@@ -20,7 +20,10 @@ fleet of ``n_workers`` ``repro-worker`` subprocesses
 (:func:`~repro.fl.transport.fleet.spawn_local_fleet`) and drives it through
 a ``DistributedCollector`` that terminates the fleet on :meth:`close`
 (``n_workers <= 1`` stays sequential); and ``"distributed"``, which drives
-the fleet named by ``workers=[host:port, ...]``.  Clients shipped to a
+the fleet named by ``workers=[host:port, ...]``.  Every collector option
+is a :class:`~repro.utils.config.TrainingConfig` field, and
+:func:`make_collector` is the one factory from a config to a collector:
+it validates the config, then picks the backend.  Clients shipped to a
 fleet are pickled by reference, so their classes must be importable (a
 client class defined in a script's ``__main__`` runs on ``"sequential"``
 only).
@@ -78,7 +81,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,7 +90,7 @@ from repro.fl.faults import FaultSchedule
 from repro.nn.layers import _BatchNormBase
 from repro.nn.module import Module
 from repro.perf.timers import monotonic
-from repro.utils.registry import Registry
+from repro.utils.config import ExperimentConfig, TrainingConfig
 
 #: (worker_label, seconds, clients_processed) for one collect call.  The
 #: label is ``0`` for the sequential pseudo-worker and the worker's
@@ -359,77 +362,24 @@ class SequentialCollector(GradientCollector):
         return out
 
 
-#: Collect backend names accepted by :func:`build_collector` and
-#: :class:`~repro.utils.config.TrainingConfig`.  Kept as an explicit tuple
-#: (rather than derived from the registry) so error messages preserve the
-#: documented order.
+#: Collect backend names accepted by
+#: :class:`~repro.utils.config.TrainingConfig`, in documented order.
 COLLECT_BACKENDS = ("sequential", "process", "distributed")
 
-#: Backend name → factory taking the normalized collect options dict (see
-#: :func:`build_collector`, which assembles it).  New backends register
-#: here and become constructible through the same audited code path —
-#: ``TrainingConfig(collect_backend=...)`` → :func:`make_collector` →
-#: :func:`build_collector` → registry dispatch.
-COLLECTOR_REGISTRY = Registry("collect backend")
 
-
-@COLLECTOR_REGISTRY.register("sequential")
-def _make_sequential_collector(options: Dict[str, Any]) -> GradientCollector:
-    return SequentialCollector(fault_schedule=options["fault_schedule"])
-
-
-@COLLECTOR_REGISTRY.register("distributed")
-def _make_distributed_collector(options: Dict[str, Any]) -> GradientCollector:
-    if not options["workers"]:
-        raise ValueError(
-            "collect_backend='distributed' requires workers=[host:port, ...]"
-        )
-    # Imported here: the transport subsystem pulls in socket machinery
-    # that purely in-process runs never need.
-    from repro.fl.transport.collector import DistributedCollector
-
-    return DistributedCollector(
-        options["workers"],
-        connect_timeout=options["connect_timeout"],
-        round_timeout=options["round_timeout"],
-        fault_schedule=options["fault_schedule"],
-        redispatch=options["redispatch"],
-        retry_seed=options["retry_seed"],
-        wire_codec=options["wire_codec"],
-    )
-
-
-@COLLECTOR_REGISTRY.register("process")
-def _make_process_collector(options: Dict[str, Any]) -> GradientCollector:
-    if options["n_workers"] <= 1:
-        return _make_sequential_collector(options)
-    from repro.fl.transport.fleet import spawn_local_fleet
-
-    fleet = spawn_local_fleet(options["n_workers"])
-    try:
-        collector = _make_distributed_collector(
-            {**options, "workers": fleet.addresses}
-        )
-    except BaseException:
-        fleet.terminate()
-        raise
-    collector.fleet = fleet
-    return collector
-
-
-def build_collector(
-    n_workers: int = 1,
-    backend: str = "sequential",
+def make_collector(
+    config: Optional[Union[TrainingConfig, ExperimentConfig]] = None,
     *,
-    workers: Optional[Sequence[str]] = None,
-    connect_timeout: float = 10.0,
-    round_timeout: Optional[float] = 120.0,
     fault_schedule: Optional[FaultSchedule] = None,
     redispatch: bool = True,
     retry_seed: int = 0,
-    wire_codec: str = "raw",
 ) -> GradientCollector:
-    """Build the collect strategy for ``backend`` at ``n_workers``.
+    """Build the collect strategy a config describes (the only factory).
+
+    ``config`` is a :class:`~repro.utils.config.TrainingConfig`, an
+    :class:`~repro.utils.config.ExperimentConfig` (its ``training`` is
+    used), or ``None`` (defaults).  It is validated first, so this accepts
+    exactly what ``TrainingConfig.validate()`` accepts.
 
     ``"sequential"``, and ``"process"`` at ``n_workers <= 1``, give the
     :class:`SequentialCollector`.  ``"process"`` at ``n_workers >= 2``
@@ -439,86 +389,41 @@ def build_collector(
     it (``close()`` terminates the workers, as does garbage collection of
     the fleet).  The workers answer only this process — each requires a
     random handshake key that this process holds — and exit when this
-    process dies, whichever thread spawned them.  ``"distributed"`` ignores
-    ``n_workers`` and drives the fleet named by ``workers`` (``host:port``
-    specs).
+    process dies, whichever thread spawned them.  ``"distributed"`` drives
+    the fleet named by ``workers`` (``host:port`` specs).
 
-    ``connect_timeout``/``round_timeout``/``redispatch``/``retry_seed``/
-    ``wire_codec`` shape the fleet path's recovery behaviour and wire
-    format and are ignored by the sequential backend (which has no sockets
-    to time out or frames to compress); ``fault_schedule`` injects
-    deterministic faults into any backend — on the fleet path a spec
-    severs the caller's link to worker *w*, and the recovery ladder
-    (retry → re-dispatch → demote) takes over.
-
-    Dispatch goes through :data:`COLLECTOR_REGISTRY`; prefer
-    :func:`make_collector` when starting from a
-    :class:`~repro.utils.config.TrainingConfig`.
+    ``fault_schedule`` injects deterministic faults into any backend — on
+    the fleet path a spec severs the caller's link to worker *w*, and the
+    recovery ladder (retry → re-dispatch → demote) takes over.
+    ``redispatch`` switches that ladder's re-dispatch rung and
+    ``retry_seed`` seeds its retry jitter; the sequential backend, which
+    has nothing to retry or re-dispatch to, ignores both.
     """
-    if backend not in COLLECTOR_REGISTRY:
-        # The error names the built-ins in documented order; third-party
-        # backends registered in COLLECTOR_REGISTRY dispatch the same way.
-        raise ValueError(
-            f"collect backend must be one of {COLLECT_BACKENDS}, got {backend!r}"
+    if config is None:
+        config = TrainingConfig()
+    training = getattr(config, "training", config).validate()
+    backend = training.collect_backend
+    if backend == "sequential" or (backend == "process" and training.n_workers <= 1):
+        return SequentialCollector(fault_schedule=fault_schedule)
+    # Imported here: the transport subsystem pulls in socket machinery
+    # that purely in-process runs never need.
+    from repro.fl.transport.collector import DistributedCollector
+    from repro.fl.transport.fleet import spawn_local_fleet
+
+    fleet = spawn_local_fleet(training.n_workers) if backend == "process" else None
+    try:
+        collector = DistributedCollector(
+            fleet.addresses if fleet is not None else training.workers,
+            connect_timeout=training.connect_timeout,
+            round_timeout=training.round_timeout,
+            fault_schedule=fault_schedule,
+            redispatch=redispatch,
+            retry_seed=retry_seed,
+            wire_codec=training.wire_codec,
         )
-    if int(n_workers) < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    options: Dict[str, Any] = {
-        "n_workers": int(n_workers),
-        "workers": list(workers) if workers else None,
-        "connect_timeout": connect_timeout,
-        "round_timeout": round_timeout,
-        "fault_schedule": fault_schedule,
-        "redispatch": redispatch,
-        "retry_seed": retry_seed,
-        "wire_codec": wire_codec,
-    }
-    return COLLECTOR_REGISTRY.create(backend, options)
-
-
-#: Sentinel for :func:`make_collector` overrides — ``None`` is a meaningful
-#: value for several knobs (``round_timeout=None`` waits forever), so the
-#: "not overridden" marker must be something else.
-_UNSET: Any = object()
-
-
-def make_collector(
-    config: Any = None,
-    *,
-    backend: str = _UNSET,
-    n_workers: int = _UNSET,
-    workers: Optional[Sequence[str]] = _UNSET,
-    connect_timeout: float = _UNSET,
-    round_timeout: Optional[float] = _UNSET,
-    wire_codec: str = _UNSET,
-    fault_schedule: Optional[FaultSchedule] = None,
-    redispatch: bool = True,
-    retry_seed: int = 0,
-) -> GradientCollector:
-    """Build the collect strategy a config describes (the one public path).
-
-    ``config`` is a :class:`~repro.utils.config.TrainingConfig`, an
-    :class:`~repro.utils.config.ExperimentConfig` (its ``training`` is
-    used), or ``None`` (defaults).  Keyword overrides take precedence over
-    the config's fields — pass only what should differ.  Dispatches
-    through :data:`COLLECTOR_REGISTRY`, so registered third-party backends
-    construct through the same code path as the built-ins.
-    """
-    training = getattr(config, "training", config)
-
-    def _field(override: Any, name: str, default: Any) -> Any:
-        if override is not _UNSET:
-            return override
-        return getattr(training, name, default) if training is not None else default
-
-    return build_collector(
-        n_workers=_field(n_workers, "n_workers", 1),
-        backend=_field(backend, "collect_backend", "sequential"),
-        workers=_field(workers, "workers", None),
-        connect_timeout=_field(connect_timeout, "connect_timeout", 10.0),
-        round_timeout=_field(round_timeout, "round_timeout", 120.0),
-        wire_codec=_field(wire_codec, "wire_codec", "raw"),
-        fault_schedule=fault_schedule,
-        redispatch=redispatch,
-        retry_seed=retry_seed,
-    )
+    except BaseException:
+        if fleet is not None:
+            fleet.terminate()
+        raise
+    collector.fleet = fleet
+    return collector

@@ -17,6 +17,7 @@ from repro.attacks.factory import build_attack
 from repro.data.factory import build_dataset
 from repro.data.partition import partition_dataset
 from repro.fl.checkpoint import Checkpoint, load_checkpoint
+from repro.fl.collector import make_collector
 from repro.fl.faults import FaultSchedule
 from repro.fl.server import FederatedServer
 from repro.fl.simulation import FederatedSimulation, build_clients
@@ -44,6 +45,10 @@ def run_experiment(
     resume_from: Optional[Union[str, Checkpoint]] = None,
 ) -> RunRecorder:
     """Run a full federated experiment described by ``config``.
+
+    The collector is built from ``config.training`` by
+    :func:`~repro.fl.collector.make_collector` and closed (its fleet, if it
+    spawned one, terminated) when the run ends or fails.
 
     Args:
         profiler: optional :class:`~repro.perf.profiler.RoundProfiler` shared
@@ -129,36 +134,36 @@ def run_experiment(
         profiler=profiler,
     )
 
-    simulation = FederatedSimulation(
-        server,
-        clients,
-        attack,
-        split.test,
-        attack_rng=rng_factory.make("attack"),
-        eval_every=config.training.eval_every,
-        lr_decay=config.training.lr_decay,
-        description=config.describe(),
-        dtype=config.training.dtype,
-        n_workers=config.training.n_workers,
-        collect_backend=config.training.collect_backend,
-        workers=config.training.workers,
-        connect_timeout=config.training.connect_timeout,
-        round_timeout=config.training.round_timeout,
-        wire_codec=config.training.wire_codec,
-        fault_schedule=fault_schedule,
-        min_cohort_fraction=config.training.min_cohort_fraction,
-        on_quorum_loss=config.training.on_quorum_loss,
-        quorum_retries=config.training.quorum_retries,
-        seed=config.seed,
-        participation=config.training.participation,
-        participation_fraction=config.training.participation_fraction,
-        cohort_size=config.training.cohort_size,
-        dropout_rate=config.training.dropout_rate,
-        straggler_rate=config.training.straggler_rate,
-        participation_rng=rng_factory.make("participation"),
-        profiler=profiler,
+    # A "process" collector spawns its worker fleet here; the finally
+    # below closes it even when the simulation's own checks reject the
+    # config.
+    collector = make_collector(
+        config, fault_schedule=fault_schedule, retry_seed=config.seed
     )
     try:
+        simulation = FederatedSimulation(
+            server,
+            clients,
+            attack,
+            split.test,
+            attack_rng=rng_factory.make("attack"),
+            eval_every=config.training.eval_every,
+            lr_decay=config.training.lr_decay,
+            description=config.describe(),
+            dtype=config.training.dtype,
+            collector=collector,
+            min_cohort_fraction=config.training.min_cohort_fraction,
+            on_quorum_loss=config.training.on_quorum_loss,
+            quorum_retries=config.training.quorum_retries,
+            seed=config.seed,
+            participation=config.training.participation,
+            participation_fraction=config.training.participation_fraction,
+            cohort_size=config.training.cohort_size,
+            dropout_rate=config.training.dropout_rate,
+            straggler_rate=config.training.straggler_rate,
+            participation_rng=rng_factory.make("participation"),
+            profiler=profiler,
+        )
         start_round = 0
         if checkpoint is not None:
             start_round = simulation.restore_checkpoint(checkpoint)
@@ -170,7 +175,7 @@ def run_experiment(
             checkpoint_config=config.to_dict(),
         )
     finally:
-        simulation.close()
+        collector.close()
     recorder.metadata["config"] = config.to_dict()
     recorder.metadata["byzantine_indices"] = byzantine_indices.tolist()
     return recorder

@@ -22,13 +22,8 @@ from repro.attacks.base import Attack, AttackContext
 from repro.data.datasets import ArrayDataset
 from repro.fl.checkpoint import Checkpoint, save_checkpoint
 from repro.fl.client import BenignClient, ByzantineClient, FederatedClient
-from repro.fl.collector import GradientCollector, make_collector
-from repro.fl.faults import (
-    QUORUM_POLICIES,
-    FaultSchedule,
-    FleetOutageError,
-    QuorumLossError,
-)
+from repro.fl.collector import GradientCollector, SequentialCollector
+from repro.fl.faults import QUORUM_POLICIES, FleetOutageError, QuorumLossError
 from repro.fl.metrics import evaluate_model, selection_confusion
 from repro.fl.participation import (
     ParticipationSchedule,
@@ -42,6 +37,17 @@ from repro.perf.profiler import NULL_PROFILER, RoundProfiler
 from repro.utils.recording import RoundRecord, RunRecorder
 from repro.utils.rng import RngFactory
 from repro.utils.validation import check_byzantine_count
+
+
+def _pass_counters(collector: GradientCollector) -> Dict[str, int]:
+    """The last collect pass's counters, keyed by ``RoundRecord`` field."""
+    sent, received = collector.last_round_bytes
+    return {
+        "num_redispatched": len(collector.last_round_redispatched),
+        "num_reconnects": int(collector.last_round_reconnects),
+        "bytes_sent": int(sent),
+        "bytes_received": int(received),
+    }
 
 
 class FederatedSimulation:
@@ -69,39 +75,16 @@ class FederatedSimulation:
             model's own dtype controls the precision clients *compute* in;
             :func:`~repro.fl.experiment.run_experiment` keeps the two in
             sync.
-        n_workers: worker count of the ``"process"`` backend's local
-            fleet.  1 (the default) keeps the seed's sequential loop;
-            larger values fan the clients over that many workers,
-            bit-identically to the sequential path (see
-            :mod:`repro.fl.collector`).  Ignored when ``collector`` is
-            given.
-        collect_backend: collect strategy — ``"sequential"`` (default,
-            the seed loop), ``"process"`` (a local fleet of ``n_workers``
-            ``repro-worker`` subprocesses, spawned here and terminated by
-            :meth:`close`; sequential at ``n_workers=1``), or
-            ``"distributed"`` (the ``repro-worker`` hosts given by
-            ``workers``).  Ignored when ``collector`` is given.
-        workers: ``host:port`` specs of the ``repro-worker`` fleet for the
-            distributed backend (ignored otherwise).  A worker that dies
-            or times out mid-round walks the recovery ladder (reconnect →
-            re-dispatch to survivors → demote its clients to dropouts in
-            the round's plan) instead of crashing the run.
-        connect_timeout: fleet path only (``"process"`` at
-            ``n_workers >= 2``, ``"distributed"``) — socket timeout for
-            worker connect/handshake.
-        round_timeout: fleet path only — deadline for a worker's round
-            reply (``None`` waits forever).
-        wire_codec: fleet path only — the gradient wire codec its
-            shard frames travel in (``"raw"`` default; see
-            :mod:`repro.fl.transport.codec`).  A stateful codec's
-            per-client residuals are captured/restored with checkpoints.
-        fault_schedule: a :class:`~repro.fl.faults.FaultSchedule` of
-            deterministic injected faults, honoured by every backend
-            (ignored when ``collector`` is given — configure the collector
-            directly).
-        redispatch: fleet path only — when True (default), a dead
-            worker's rows are recomputed by surviving workers before any
-            dropout demotion.
+        collector: the :class:`~repro.fl.collector.GradientCollector`
+            that computes each round's gradients; defaults to a
+            :class:`~repro.fl.collector.SequentialCollector`.  Build any
+            other backend with :func:`~repro.fl.collector.make_collector`
+            from a :class:`~repro.utils.config.TrainingConfig`.  The
+            simulation takes ownership: :meth:`close` closes it.  A fleet
+            worker that dies or times out mid-round walks the collector's
+            recovery ladder (reconnect → re-dispatch to survivors → demote
+            its clients to dropouts in the round's plan) instead of
+            crashing the run.
         min_cohort_fraction: quorum threshold — the round must end with at
             least ``ceil(min_cohort_fraction * cohort_size)`` active
             (aggregating) clients, else ``on_quorum_loss`` applies.  0
@@ -115,8 +98,6 @@ class FederatedSimulation:
             ``"retry"`` and raised otherwise.
         quorum_retries: extra collect attempts granted by
             ``on_quorum_loss="retry"``.
-        collector: an explicit :class:`~repro.fl.collector.GradientCollector`
-            strategy, overriding ``n_workers`` and ``collect_backend``.
         participation: which clients train each round — a schedule name
             (``"full"``, ``"uniform"``, ``"fixed_cohort"``) or an explicit
             :class:`~repro.fl.participation.ParticipationSchedule` instance
@@ -136,8 +117,8 @@ class FederatedSimulation:
             given, every round records "collect_gradients", per-worker
             "collect_worker_<i>", "attack", and "evaluate" stages here (the
             server adds "aggregate" and "model_update" when it shares the
-            profiler), and the round totals are annotated with the cohort
-            size, sampled Byzantine count, dropouts, and stragglers.
+            profiler).  The profiler keeps time only; every other fact
+            about a round is on its :class:`~repro.utils.recording.RoundRecord`.
     """
 
     def __init__(
@@ -152,15 +133,7 @@ class FederatedSimulation:
         lr_decay: float = 1.0,
         description: str = "",
         dtype=np.float64,
-        n_workers: int = 1,
-        collect_backend: str = "sequential",
-        workers: Optional[Sequence[str]] = None,
         collector: Optional[GradientCollector] = None,
-        connect_timeout: float = 10.0,
-        round_timeout: Optional[float] = 120.0,
-        wire_codec: str = "raw",
-        fault_schedule: Optional[FaultSchedule] = None,
-        redispatch: bool = True,
         min_cohort_fraction: float = 0.0,
         on_quorum_loss: str = "accept",
         quorum_retries: int = 2,
@@ -177,8 +150,6 @@ class FederatedSimulation:
             raise ValueError("at least one client is required")
         if eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
@@ -203,6 +174,7 @@ class FederatedSimulation:
         self.eval_every = eval_every
         self.lr_decay = lr_decay
         self.dtype = dtype
+        self.collector = collector if collector is not None else SequentialCollector()
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.recorder = RunRecorder(description=description)
         rng_factory = RngFactory(seed)
@@ -231,23 +203,6 @@ class FederatedSimulation:
         self.byzantine_indices = np.asarray(sorted(byzantine), dtype=int)
         if len(self.byzantine_indices):
             check_byzantine_count(len(self.byzantine_indices), len(self.clients))
-        # Built last: the "process" backend spawns its worker fleet here, so
-        # no later validation can raise and strand it.
-        self.collector = (
-            collector
-            if collector is not None
-            else make_collector(
-                n_workers=n_workers,
-                backend=collect_backend,
-                workers=workers,
-                connect_timeout=connect_timeout,
-                round_timeout=round_timeout,
-                wire_codec=wire_codec,
-                fault_schedule=fault_schedule,
-                redispatch=redispatch,
-                retry_seed=seed,
-            )
-        )
 
     @property
     def num_clients(self) -> int:
@@ -276,11 +231,11 @@ class FederatedSimulation:
         obtain (a distributed worker died or timed out and re-dispatch
         could not recover the rows): those clients are demoted to
         dropouts, their NaN rows are compacted out of the buffer, and the
-        round continues with the survivors.  ``stats`` carries the
-        recovery counters (re-dispatched rows, reconnects) for the round
-        record.  Raises :class:`~repro.fl.faults.FleetOutageError` when
-        *every* row failed — no gradients at all is an outage, not a
-        dropout.
+        round continues with the survivors.  ``stats`` holds the round
+        record's collect counters (re-dispatched rows, reconnects, wire
+        bytes), summed over the main and straggler passes.  Raises
+        :class:`~repro.fl.faults.FleetOutageError` when *every* row failed —
+        no gradients at all is an outage, not a dropout.
         """
         full = self._round_buffer
         if full is None:
@@ -289,14 +244,11 @@ class FederatedSimulation:
             self._round_buffer = full
         buffer = full[: plan.num_active]
         rows = None if plan.is_full_round else plan.active
-        self.collector.collect(self.clients, self.model, buffer, rows=rows)
-        timings = list(self.collector.worker_timings)
-        wire = list(self.collector.last_round_bytes)
-        failed = tuple(self.collector.failed_rows)
-        stats = {
-            "num_redispatched": len(self.collector.last_round_redispatched),
-            "num_reconnects": int(self.collector.last_round_reconnects),
-        }
+        collector = self.collector
+        collector.collect(self.clients, self.model, buffer, rows=rows)
+        timings = list(collector.worker_timings)
+        stats = _pass_counters(collector)
+        failed = tuple(collector.failed_rows)
         if failed:
             if len(failed) == plan.num_active:
                 raise FleetOutageError(
@@ -313,7 +265,7 @@ class FederatedSimulation:
             buffer = full[: plan.num_active]
         if plan.num_stragglers:
             scratch = full[plan.num_active : plan.num_active + plan.num_stragglers]
-            self.collector.collect(
+            collector.collect(
                 self.clients,
                 self.model,
                 scratch,
@@ -322,24 +274,12 @@ class FederatedSimulation:
             )
             # A worker failure during the straggler pass needs no demotion:
             # straggler submissions are discarded either way.
-            timings.extend(self.collector.worker_timings)
-            wire = [a + b for a, b in zip(wire, self.collector.last_round_bytes)]
-        profiler = self.profiler
-        if profiler.enabled:
+            timings.extend(collector.worker_timings)
+            straggler_stats = _pass_counters(collector)
+            stats = {name: stats[name] + straggler_stats[name] for name in stats}
+        if self.profiler.enabled:
             for worker_index, seconds, _ in timings:
-                profiler.record(f"collect_worker_{worker_index}", seconds)
-            if any(wire):
-                profiler.count("collect_bytes_sent", wire[0])
-                profiler.count("collect_bytes_received", wire[1])
-                profiler.annotate(
-                    collect_bytes_sent=wire[0], collect_bytes_received=wire[1]
-                )
-            if stats["num_redispatched"]:
-                profiler.count("collect_redispatched", stats["num_redispatched"])
-                profiler.annotate(collect_redispatched=stats["num_redispatched"])
-            if stats["num_reconnects"]:
-                profiler.count("collect_reconnects", stats["num_reconnects"])
-                profiler.annotate(collect_reconnects=stats["num_reconnects"])
+                self.profiler.record(f"collect_worker_{worker_index}", seconds)
         return buffer, plan, stats
 
     def _quorum_size(self, plan: RoundPlan) -> int:
@@ -428,10 +368,9 @@ class FederatedSimulation:
                 if plan.cohort_size == self.num_clients
                 else tuple(int(i) for i in plan.cohort)
             ),
-            num_redispatched=collect_stats["num_redispatched"],
-            num_reconnects=collect_stats["num_reconnects"],
             num_retries=retries,
             quorum_met=quorum_met,
+            **collect_stats,
             **confusion,
         )
         if (round_index + 1) % self.eval_every == 0:
@@ -441,18 +380,6 @@ class FederatedSimulation:
             record.test_loss = test_loss
         if self.lr_decay != 1.0:
             self.server.learning_rate *= self.lr_decay
-        if profiler.enabled:
-            profiler.annotate(
-                cohort_size=plan.cohort_size,
-                num_active=plan.num_active,
-                num_dropped=plan.num_dropped,
-                num_stragglers=plan.num_stragglers,
-                byzantine_in_cohort=len(byzantine_positions),
-            )
-            if retries:
-                profiler.annotate(collect_retries=retries)
-            if not quorum_met:
-                profiler.annotate(quorum_met=False)
         profiler.end_round()
         return record
 

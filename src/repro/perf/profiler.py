@@ -6,7 +6,9 @@ A :class:`RoundProfiler` is handed to
 and collects how long each named stage of every round takes — gradient
 collection, the attack transformation, the defense's aggregation, the model
 update.  The result is a machine-readable dict suitable for
-:func:`repro.perf.bench.write_bench_json`.
+:func:`repro.perf.bench.write_bench_json`.  It records time only: what
+happened in a round (cohort, dropouts, recovery, wire bytes) is on the
+round's :class:`~repro.utils.recording.RoundRecord`.
 
 When no profiler is configured the components use :data:`NULL_PROFILER`,
 whose ``stage`` context manager is a reusable no-op, so the hot path pays a
@@ -31,12 +33,6 @@ class NullProfiler:
         yield
 
     def record(self, name: str, seconds: float) -> None:
-        pass
-
-    def count(self, name: str, value: float) -> None:
-        pass
-
-    def annotate(self, **fields: Any) -> None:
         pass
 
     def begin_round(self, round_index: Optional[int] = None) -> None:
@@ -70,11 +66,9 @@ class RoundProfiler:
 
     def __init__(self) -> None:
         self.timings = StageTimings()
-        self.counters: Dict[str, float] = {}
         self.round_totals: List[Dict[str, Any]] = []
         self._round_start: Optional[float] = None
         self._round_index: Optional[int] = None
-        self._round_annotations: Dict[str, Any] = {}
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -94,33 +88,12 @@ class RoundProfiler:
         """
         self.timings.add(name, float(seconds))
 
-    def count(self, name: str, value: float) -> None:
-        """Accumulate a non-time quantity (bytes on the wire, cache hits...).
-
-        Counters are plain run-level totals: the distributed collect
-        backend feeds its per-round ``bytes_sent``/``bytes_received`` here,
-        so benchmark JSON can report traffic next to wall-clock stages.
-        """
-        self.counters[name] = self.counters.get(name, 0) + value
-
-    def annotate(self, **fields: Any) -> None:
-        """Attach metadata to the current round's totals entry.
-
-        The federated simulation uses this to record participation facts —
-        cohort size, sampled Byzantine count, dropouts, stragglers — next
-        to the round's wall-clock total.  Calling it outside a round is a
-        no-op.
-        """
-        if self._round_start is not None:
-            self._round_annotations.update(fields)
-
     def begin_round(self, round_index: Optional[int] = None) -> None:
         """Mark the start of a federated round."""
         self._round_start = monotonic()
         if round_index is None:
             round_index = len(self.round_totals)
         self._round_index = int(round_index)
-        self._round_annotations = {}
 
     def end_round(self) -> None:
         """Mark the end of a round and record its total wall-clock time."""
@@ -128,16 +101,9 @@ class RoundProfiler:
             return
         elapsed = monotonic() - self._round_start
         self.timings.add("round_total", elapsed)
-        self.round_totals.append(
-            {
-                "round_index": self._round_index,
-                "total_s": elapsed,
-                **self._round_annotations,
-            }
-        )
+        self.round_totals.append({"round_index": self._round_index, "total_s": elapsed})
         self._round_start = None
         self._round_index = None
-        self._round_annotations = {}
 
     @property
     def num_rounds(self) -> int:
@@ -152,13 +118,11 @@ class RoundProfiler:
         return {
             "num_rounds": self.num_rounds,
             "stages": self.summary(),
-            "counters": dict(self.counters),
             "rounds": list(self.round_totals),
         }
 
     def reset(self) -> None:
         self.timings.clear()
-        self.counters.clear()
         self.round_totals.clear()
         self._round_start = None
         self._round_index = None

@@ -77,7 +77,9 @@ class TrainingConfig:
     fleet spellings are bit-identical to the sequential path at any worker
     count, and degrade a dead or timed-out worker through re-dispatch into
     :class:`~repro.fl.participation.RoundPlan` dropouts instead of crashing
-    the run.
+    the run.  These fields, ``wire_codec`` and the two timeouts below are
+    the collector's only options: :func:`~repro.fl.collector.make_collector`
+    builds the collector from them after :meth:`validate`.
 
     ``wire_codec`` picks the gradient wire codec of a fleet's shard frames
     (see :mod:`repro.fl.transport.codec`): ``"raw"`` (default — lossless,
@@ -143,8 +145,8 @@ class TrainingConfig:
                 f"dtype must be 'float32' or 'float64', got {self.dtype!r}"
             )
         check_integer_in_range(self.n_workers, "n_workers", minimum=1)
-        # Function-scope import: repro.fl.collector owns the backend registry
-        # and importing it at module level would cycle (fl imports config).
+        # Function-scope import: repro.fl.collector owns the backend names
+        # and imports this module.
         from repro.fl.collector import COLLECT_BACKENDS
 
         if self.collect_backend not in COLLECT_BACKENDS:

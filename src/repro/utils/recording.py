@@ -7,10 +7,15 @@ directly onto the quantities reported in the paper's tables and figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
+
+
+#: ``RoundRecord`` fields holding client ids: tuples on a record, lists in
+#: its serialized form.
+_CLIENT_ID_FIELDS = ("selected_clients", "cohort_clients")
 
 
 @dataclass
@@ -49,6 +54,11 @@ class RoundRecord:
     #: False when the round finished below ``min_cohort_fraction`` and the
     #: ``accept`` policy recorded it anyway.
     quorum_met: bool = True
+    #: Bytes the collector sent to / received from its workers this round
+    #: (main and straggler passes; 0 on the sequential path, which has no
+    #: wire).
+    bytes_sent: int = 0
+    bytes_received: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -71,27 +81,12 @@ class RoundRecord:
         return self.byzantine_selected / self.byzantine_total
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "round_index": self.round_index,
-            "train_loss": self.train_loss,
-            "test_accuracy": self.test_accuracy,
-            "test_loss": self.test_loss,
-            "selected_clients": list(self.selected_clients),
-            "benign_selected": self.benign_selected,
-            "benign_total": self.benign_total,
-            "byzantine_selected": self.byzantine_selected,
-            "byzantine_total": self.byzantine_total,
-            "attack_name": self.attack_name,
-            "cohort_size": self.cohort_size,
-            "num_dropped": self.num_dropped,
-            "num_stragglers": self.num_stragglers,
-            "cohort_clients": list(self.cohort_clients),
-            "num_redispatched": self.num_redispatched,
-            "num_reconnects": self.num_reconnects,
-            "num_retries": self.num_retries,
-            "quorum_met": self.quorum_met,
-            "extra": dict(self.extra),
-        }
+        """One JSON-ready entry per field, in field order."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _CLIENT_ID_FIELDS:
+            payload[name] = list(payload[name])
+        payload["extra"] = dict(self.extra)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RoundRecord":
@@ -101,32 +96,13 @@ class RoundRecord:
         defaults) — checkpoint files must stay readable across versions
         that only *add* fields.
         """
-        record = cls(
-            round_index=int(payload["round_index"]),
-            train_loss=float(payload["train_loss"]),
-        )
-        for key in (
-            "test_accuracy",
-            "test_loss",
-            "benign_selected",
-            "benign_total",
-            "byzantine_selected",
-            "byzantine_total",
-            "attack_name",
-            "cohort_size",
-            "num_dropped",
-            "num_stragglers",
-            "num_redispatched",
-            "num_reconnects",
-            "num_retries",
-            "quorum_met",
-        ):
-            if key in payload:
-                setattr(record, key, payload[key])
-        record.selected_clients = tuple(payload.get("selected_clients", ()))
-        record.cohort_clients = tuple(payload.get("cohort_clients", ()))
-        record.extra = dict(payload.get("extra", {}))
-        return record
+        values = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        values["round_index"] = int(payload["round_index"])
+        values["train_loss"] = float(payload["train_loss"])
+        for name in _CLIENT_ID_FIELDS:
+            values[name] = tuple(values.get(name, ()))
+        values["extra"] = dict(values.get("extra", {}))
+        return cls(**values)
 
 
 class RunRecorder:

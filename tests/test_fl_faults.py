@@ -24,7 +24,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.fl.collector import SequentialCollector, build_collector
+from repro import TrainingConfig
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.faults import (
     FAULT_KINDS,
     FaultSchedule,
@@ -33,8 +34,8 @@ from repro.fl.faults import (
     QuorumLossError,
     parse_fault,
 )
+from repro.fl.participation import FullParticipation
 from repro.fl.transport import DistributedCollector, start_thread_fleet
-from repro.perf.profiler import RoundProfiler
 from tests.test_fl_parallel_collect import fleet_collector, make_clients, make_model
 from tests.test_fl_transport import PlannedSchedule, build_simulation, make_plan
 
@@ -171,6 +172,15 @@ def collect_rounds(collector, clients, model, rounds, n_rows=None):
     return buffers
 
 
+def process_collector(schedule):
+    """A 2-worker ``process`` fleet that demotes instead of re-dispatching."""
+    return make_collector(
+        TrainingConfig(collect_backend="process", n_workers=2),
+        fault_schedule=schedule,
+        redispatch=False,
+    )
+
+
 class TestInProcessInjection:
     """Collector-side injection: every backend, no recovery rung above demote."""
 
@@ -216,11 +226,8 @@ class TestInProcessInjection:
     def test_process_fault_maps_client_ids_to_worker(self, workers_import_tests):
         clients = make_clients(6)
         model = make_model()
-        collector = build_collector(
-            2,
-            "process",
-            fault_schedule=FaultSchedule([FaultSpec("crash", 2, worker=1)]),
-            redispatch=False,
+        collector = process_collector(
+            FaultSchedule([FaultSpec("crash", 2, worker=1)])
         )
         try:
             collector.collect(
@@ -244,12 +251,7 @@ class TestInProcessInjection:
                 [3, 4, 5],
             ),
             # process: worker 1 of 2 holds clients 4, 5, 6, 7
-            (
-                lambda s: build_collector(
-                    2, "process", fault_schedule=s, redispatch=False
-                ),
-                [4, 5, 6, 7],
-            ),
+            (process_collector, [4, 5, 6, 7]),
         ],
     )
     def test_faulted_round_equals_planned_dropouts(self, make_collector, failed_ids):
@@ -429,15 +431,13 @@ class TestDistributedRecovery:
             reference.close()
 
         crash = FaultSchedule.from_args(["crash@2"])  # worker 0's 2nd round
-        profiler = RoundProfiler()
         with start_thread_fleet(2, fault_schedule=crash) as fleet:
             collector = DistributedCollector(
                 fleet.addresses, connect_timeout=5.0, round_timeout=30.0
             )
             simulation = build_simulation(collector)
-            simulation.profiler = profiler
             try:
-                records = [simulation.run_round(index) for index in range(3)]
+                records = simulation.run(3).rounds
                 state = simulation.model.state_dict()
             finally:
                 simulation.close()
@@ -454,9 +454,8 @@ class TestDistributedRecovery:
         assert records[0].num_redispatched == 0
         assert records[1].num_redispatched == 4
         assert records[2].num_redispatched == 4
-        # ...and in the profiler: a per-round annotation plus a run total.
-        assert profiler.round_totals[1]["collect_redispatched"] == 4
-        assert profiler.counters["collect_redispatched"] == 8
+        # ...and the run total sums the records.
+        assert simulation.recorder.total_redispatched() == 8
 
     def test_refused_connect_retried_with_backoff(self):
         # Worker 0 hangs up on the first HELLO; connect_with_retry's second
@@ -520,6 +519,54 @@ class TestDistributedRecovery:
         assert [r.num_dropped for r in records] == [0, 0, 0]
         assert records[1].num_redispatched == 4
         assert records[1].num_reconnects >= 1  # the link was repaired after
+
+    def test_straggler_pass_recovery_counts_reach_the_record(self):
+        # A straggler pass shares its round's fault tick, so a caller-side
+        # crash severs worker 1's link in both of round 1's passes, and
+        # each pass reconnects and re-dispatches.  The record sums them.
+        crash = FaultSchedule([FaultSpec("crash", 2, worker=1)])
+        passes = []
+        with start_thread_fleet(2) as fleet:
+            collector = DistributedCollector(
+                fleet.addresses,
+                connect_timeout=5.0,
+                round_timeout=30.0,
+                fault_schedule=crash,
+            )
+            collect = collector.collect
+
+            def counting_collect(*args, **kwargs):
+                out = collect(*args, **kwargs)
+                passes.append(
+                    (
+                        len(collector.last_round_redispatched),
+                        collector.last_round_reconnects,
+                        *collector.last_round_bytes,
+                    )
+                )
+                return out
+
+            collector.collect = counting_collect
+            simulation = build_simulation(
+                collector,
+                n_clients=12,
+                schedule=FullParticipation(
+                    straggler_rate=0.3, rng=np.random.default_rng(2)
+                ),
+            )
+            try:
+                simulation.run_round(0)
+                passes.clear()
+                record = simulation.run_round(1)
+            finally:
+                simulation.close()
+        main, straggler = passes
+        assert record.num_stragglers > 0
+        assert straggler[0] > 0 and straggler[1] > 0
+        assert record.num_redispatched == main[0] + straggler[0]
+        assert record.num_reconnects == main[1] + straggler[1]
+        assert record.bytes_sent == main[2] + straggler[2]
+        assert record.bytes_received == main[3] + straggler[3]
 
 
 def test_quorum_size_uses_ceiling():

@@ -24,7 +24,7 @@ import pytest
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import SequentialCollector, build_collector
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
 from repro.fl.transport import DistributedCollector, start_thread_fleet
@@ -206,19 +206,22 @@ class TestWorkerCounts:
         with pytest.raises(ValueError, match="n_workers"):
             start_thread_fleet(0)
         with pytest.raises(ValueError, match="n_workers"):
-            build_collector(0, "process")
+            make_collector(TrainingConfig(collect_backend="process", n_workers=0))
 
     def test_build_collector_dispatch(self):
         # The default backend is sequential at any worker count; the
         # fleet spellings are covered by test_fl_collector_factory.py.
-        assert isinstance(build_collector(1), SequentialCollector)
-        assert isinstance(build_collector(4), SequentialCollector)
-        assert isinstance(build_collector(4, "sequential"), SequentialCollector)
-        assert isinstance(build_collector(1, "process"), SequentialCollector)
+        for training in (
+            TrainingConfig(),
+            TrainingConfig(n_workers=4),
+            TrainingConfig(collect_backend="sequential", n_workers=4),
+            TrainingConfig(collect_backend="process", n_workers=1),
+        ):
+            assert isinstance(make_collector(training), SequentialCollector)
 
     def test_build_collector_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="collect backend"):
-            build_collector(4, "greenlet")
+        with pytest.raises(ValueError, match="collect_backend"):
+            make_collector(TrainingConfig(collect_backend="greenlet", n_workers=4))
 
     def test_collector_reusable_after_close(self):
         # A collector over a fleet it does not own only disconnects on

@@ -28,7 +28,7 @@ from repro.attacks.base import Attack
 from repro.core import SignGuard
 from repro.data.partition import iid_partition
 from repro.data.synthetic_images import make_mnist_like
-from repro.fl.collector import SequentialCollector, build_collector, resolve_rows
+from repro.fl.collector import SequentialCollector, make_collector, resolve_rows
 from repro.fl.experiment import run_experiment
 from repro.fl.participation import (
     FixedCohortParticipation,
@@ -199,6 +199,10 @@ class TestSchedules:
         assert scaled_byzantine_hint(3, 7, 10) == 2
 
 
+def process_collector():
+    return make_collector(TrainingConfig(collect_backend="process", n_workers=2))
+
+
 @pytest.mark.usefixtures("workers_import_tests")
 class TestCollectSubsets:
     """Non-contiguous subsets through sequential, a thread fleet, and process."""
@@ -209,7 +213,7 @@ class TestCollectSubsets:
         return [
             ("sequential", SequentialCollector),
             ("thread fleet", lambda: fleet_collector(2)),
-            ("process", lambda: build_collector(2, "process")),
+            ("process", process_collector),
         ]
 
     def test_subset_rows_match_full_collect_across_backends(self):
@@ -311,7 +315,7 @@ class TestCollectSubsets:
         clients = make_clients(6)
         clients[4] = exploding_client(clients[4])
         model = make_model()
-        collector = build_collector(2, "process")
+        collector = process_collector()
         try:
             # A successful sampled round, then a failing one over different
             # rows: the failed row must come back NaN, not a stale value
@@ -329,7 +333,7 @@ class TestCollectSubsets:
     def test_process_workers_persist_across_varying_subsets(self):
         clients = make_clients(6)
         model = make_model()
-        collector = build_collector(2, "process")
+        collector = process_collector()
         try:
             out = np.empty((3, model.num_parameters()))
             collector.collect(clients, model, out, rows=[0, 2, 5])
@@ -672,10 +676,7 @@ class TestSimulationParticipation:
 
         assert run() == run()
 
-    def test_profiler_round_totals_annotated(self, split):
-        from repro.perf.profiler import RoundProfiler
-
-        profiler = RoundProfiler()
+    def test_records_carry_participation_totals(self, split):
         simulation = make_simulation(
             split,
             NoAttack(),
@@ -684,14 +685,14 @@ class TestSimulationParticipation:
             participation=UniformParticipation(
                 0.5, dropout_rate=0.2, rng=np.random.default_rng(6)
             ),
-            profiler=profiler,
         )
-        simulation.run(3)
-        for totals in profiler.round_totals:
-            assert totals["cohort_size"] == 5
-            assert totals["num_active"] + totals["num_dropped"] == 5
-            assert "byzantine_in_cohort" in totals
-            assert "num_stragglers" in totals
+        recorder = simulation.run(3)
+        for record in recorder.rounds:
+            assert record.cohort_size == 5
+            assert record.num_reporting + record.num_dropped == 5
+            # Mean keeps every reporting client, so the selection is the
+            # reporting set and client 0 is the only Byzantine one.
+            assert record.byzantine_total == int(0 in record.selected_clients)
 
 
 class TestExperimentIntegration:

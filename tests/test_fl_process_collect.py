@@ -1,11 +1,12 @@
 """Tests for the ``process`` collect backend: a spawned local fleet.
 
-Contract: ``build_collector(n, "process")`` with ``n >= 2`` spawns ``n``
-``repro-worker`` subprocesses and returns a ``DistributedCollector`` that
-owns them.  Each worker holds a shard of the client population (and those
-clients' RNG streams) plus a model replica; per round the caller broadcasts
-the global ``state_dict()`` and gathers the gradient shards.  Results must
-be bit-identical to the sequential path at any worker count, across rounds,
+Contract: ``make_collector`` on a ``collect_backend="process"`` config
+with ``n_workers=n >= 2`` spawns ``n`` ``repro-worker`` subprocesses and
+returns a ``DistributedCollector`` that owns them.  Each worker holds a
+shard of the client population (and those clients' RNG streams) plus a
+model replica; per round the caller broadcasts the global
+``state_dict()`` and gathers the gradient shards.  Results must be
+bit-identical to the sequential path at any worker count, across rounds,
 including BatchNorm buffer state and evaluation metrics; client exceptions
 propagate; a dead worker's rows are re-dispatched to the survivors; the
 buffer is NaN-invalidated against stale rows.  ``close()`` terminates the
@@ -38,11 +39,8 @@ import numpy as np
 import pytest
 
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
-from repro.aggregators import MeanAggregator
-from repro.fl.collector import SequentialCollector, build_collector
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
-from repro.fl.server import FederatedServer
-from repro.fl.simulation import FederatedSimulation
 from repro.fl.transport import (
     DistributedCollector,
     model_signature,
@@ -67,8 +65,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 pytestmark = pytest.mark.usefixtures("workers_import_tests")
 
 
-def process_collector(n_workers=2, **kwargs):
-    return build_collector(n_workers, "process", **kwargs)
+def process_collector(n_workers=2):
+    config = TrainingConfig(collect_backend="process", n_workers=n_workers)
+    return make_collector(config)
 
 
 def collect_rounds(make_collector, *, n_clients=6, rounds=3, dtype=np.float64):
@@ -401,7 +400,8 @@ class TestLocalFleet:
             import numpy as np
             from repro.data.factory import build_dataset
             from repro.fl.client import BenignClient
-            from repro.fl.collector import build_collector
+            from repro import TrainingConfig
+            from repro.fl.collector import make_collector
             from repro.nn.models.mlp import MLP
 
             split = build_dataset(
@@ -415,7 +415,9 @@ class TestLocalFleet:
             ]
             model = MLP(14 * 14, 10, hidden_dims=(8,), rng=np.random.default_rng(1))
             out = np.empty((4, model.num_parameters()))
-            collector = build_collector(2, "process")
+            collector = make_collector(
+                TrainingConfig(collect_backend="process", n_workers=2)
+            )
             collector.collect(clients, model, out)
             pids = [worker.process.pid for worker in collector.fleet.workers]
             print(" ".join(map(str, pids)), flush=True)
@@ -475,22 +477,28 @@ class TestLocalFleet:
         assert not pids & spawned_workers()
 
     @needs_proc
-    def test_rejected_simulation_leaves_no_workers(self):
+    def test_rejected_simulation_leaves_no_workers(self, monkeypatch):
+        # run_experiment spawns the fleet before it builds the simulation;
+        # a constructor check that raises must not strand the workers.  The
+        # traceback (kept alive in ``rejected``) still references the
+        # collector, so only an explicit close stops them.
+        def reject(*args, **kwargs):
+            raise ValueError("rejected participation")
+
+        monkeypatch.setattr("repro.fl.simulation.build_participation", reject)
         before = spawned_workers()
-        model = make_model()
-        server = FederatedServer(model, MeanAggregator(), learning_rate=0.1)
-        with pytest.raises(ValueError):
-            FederatedSimulation(
-                server,
-                make_clients(4),
-                None,
-                None,
-                n_workers=2,
-                collect_backend="process",
-                participation="no-such-schedule",
-            )
+        config = ExperimentConfig(
+            num_clients=4,
+            data=DataConfig(dataset="mnist_like", num_train=80, num_test=40),
+            training=TrainingConfig(
+                model="mlp", rounds=1, n_workers=2, collect_backend="process"
+            ),
+        )
+        with pytest.raises(ValueError, match="rejected") as rejected:
+            run_experiment(config)
         gc.collect()
         assert spawned_workers() <= before
+        assert rejected.traceback
 
     def test_handshake_without_the_worker_key_is_refused(self):
         model = make_model()

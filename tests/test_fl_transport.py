@@ -31,7 +31,7 @@ from repro import (
 )
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import SequentialCollector, build_collector
+from repro.fl.collector import SequentialCollector, make_collector
 from repro.fl.experiment import run_experiment
 from repro.fl.faults import FaultSchedule
 from repro.fl.participation import ParticipationSchedule, RoundPlan
@@ -770,10 +770,12 @@ class TestConfigValidation:
             ).validate()
 
     def test_build_collector_distributed(self):
-        collector = build_collector(1, "distributed", workers=["127.0.0.1:1"])
+        collector = make_collector(
+            TrainingConfig(collect_backend="distributed", workers=["127.0.0.1:1"])
+        )
         assert isinstance(collector, DistributedCollector)
         with pytest.raises(ValueError, match="requires workers"):
-            build_collector(1, "distributed")
+            make_collector(TrainingConfig(collect_backend="distributed"))
 
     def test_duplicate_workers_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

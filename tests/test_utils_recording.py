@@ -1,5 +1,6 @@
 """Tests for run recording."""
 
+import dataclasses
 import math
 
 from repro.utils.recording import RoundRecord, RunRecorder
@@ -85,6 +86,8 @@ class TestRecoverySerialization:
         record.num_reconnects = 1
         record.num_retries = 2
         record.quorum_met = False
+        record.bytes_sent = 4096
+        record.bytes_received = 1024
         record.selected_clients = (0, 2, 5)
         record.extra = {"note": "degraded"}
         return record
@@ -95,6 +98,9 @@ class TestRecoverySerialization:
         assert payload["num_reconnects"] == 1
         assert payload["num_retries"] == 2
         assert payload["quorum_met"] is False
+        assert payload["bytes_sent"] == 4096
+        assert payload["bytes_received"] == 1024
+        assert list(payload) == [f.name for f in dataclasses.fields(RoundRecord)]
 
     def test_round_record_from_dict_round_trips(self):
         original = self.make_recovery_record()
@@ -109,6 +115,8 @@ class TestRecoverySerialization:
         assert restored.num_reconnects == 0
         assert restored.num_retries == 0
         assert restored.quorum_met is True
+        assert restored.bytes_sent == 0
+        assert restored.bytes_received == 0
 
     def test_recorder_recovery_totals(self):
         recorder = RunRecorder()
