@@ -26,6 +26,8 @@ def thread_spawned_fleets(monkeypatch):
 
 
 class TestRegistry:
+    """Backend names: the documented tuple, matched exactly."""
+
     def test_builtin_backends_registered(self):
         assert COLLECT_BACKENDS == ("sequential", "process", "distributed")
 
