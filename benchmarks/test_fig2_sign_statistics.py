@@ -32,9 +32,9 @@ class _TracingSimulation(FederatedSimulation):
         self.trace = trace
 
     def _collect_honest_gradients(self, plan):
-        gradients, plan, stats = super()._collect_honest_gradients(plan)
-        self.trace.record(gradients)
-        return gradients, plan, stats
+        collected = super()._collect_honest_gradients(plan)
+        self.trace.record(collected[0])  # the active clients' gradients
+        return collected
 
 
 def run_fig2(profile) -> SignStatisticsTrace:

@@ -53,8 +53,3 @@ def clip_gradients_to_norm(gradients: np.ndarray, bound: float) -> np.ndarray:
     gradients = np.atleast_2d(np.asarray(gradients, dtype=np.float64))
     scales = clip_scales(gradient_norms(gradients), bound)
     return gradients * scales[:, None]
-
-
-def clipped_mean(gradients: np.ndarray, bound: float) -> np.ndarray:
-    """Mean of the rows after clipping each to ``bound``."""
-    return clip_gradients_to_norm(gradients, bound).mean(axis=0)

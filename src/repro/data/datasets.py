@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -97,11 +97,6 @@ class ArrayDataset(Dataset):
     def class_counts(self) -> np.ndarray:
         """Number of samples per class."""
         return np.bincount(self.labels, minlength=self.spec.num_classes)
-
-    def iter_classes(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield (class, indices of that class) pairs."""
-        for cls in range(self.spec.num_classes):
-            yield cls, np.flatnonzero(self.labels == cls)
 
     def with_labels(self, labels: np.ndarray) -> "ArrayDataset":
         """Copy of the dataset with replaced labels (used by label flipping)."""

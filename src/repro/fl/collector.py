@@ -41,12 +41,15 @@ at float32), regardless of scheduling, because
 2. worker replicas load parameter and buffer values verbatim from the
    global model's broadcast, so every client evaluates the same function
    on either path; and
-3. layers with non-parameter state updated during the forward pass
-   (BatchNorm running statistics) log their per-batch statistics on the
-   replicas, and the collector replays those updates onto the *global*
-   model in client order after the round — the same floating-point
-   operations, in the same order, the sequential path performs.  Evaluation
-   metrics therefore match exactly between the backends.
+3. ``collect`` never changes the model.  Layers with non-parameter state
+   updated during the forward pass (BatchNorm running statistics) log
+   their per-batch statistics — on the shared model, whose buffers the
+   sequential path restores after the loop, or on the worker replicas —
+   and every backend reports them in :attr:`last_round_batch_stats`.  The
+   round replays the rows it keeps onto the global model in ascending
+   client order (:func:`replay_batch_stats`), once, so the same
+   floating-point operations run in the same order on every backend.
+   Evaluation metrics therefore match exactly between the backends.
 
 Models whose *forward pass itself* draws randomness from model-owned
 generators (a ``Dropout`` layer holding its own RNG) cannot satisfy the
@@ -70,13 +73,14 @@ Partial participation
 ---------------------
 
 ``collect`` accepts an optional ``rows`` argument — a strictly increasing
-subset of client positions (a :class:`~repro.fl.participation.RoundPlan`'s
-computing set).  Only those clients run, row ``k`` of the (now
-cohort-sized) buffer holds ``clients[rows[k]]``'s gradient, and BatchNorm
-statistics are replayed in buffer-row order, which equals ascending client
-order on both paths.  Non-selected clients are never invoked, so their
-RNG streams stay untouched and any participation schedule remains
-bit-reproducible.
+subset of client positions: a :class:`~repro.fl.participation.RoundPlan`'s
+computing set, active clients and stragglers together, in one call per
+round.  Only those clients run and row ``k`` of the (now cohort-sized)
+buffer holds ``clients[rows[k]]``'s gradient.  The round then keeps the
+active rows and replays only their BatchNorm statistics; a straggler's
+discarded submission leaks nothing.  Non-selected clients are never
+invoked, so their RNG streams stay untouched and any participation
+schedule remains bit-reproducible.
 """
 
 from __future__ import annotations
@@ -148,16 +152,18 @@ def _batch_stat_modules(model: Module) -> List[_BatchNormBase]:
     return [m for m in model.modules() if isinstance(m, _BatchNormBase)]
 
 
-def _replay_batch_stats(
-    model: Module, stats_by_row: List[Tuple[int, ClientBatchStats]]
+def replay_batch_stats(
+    model: Module, stats_by_row: Sequence[Tuple[int, ClientBatchStats]]
 ) -> None:
     """Replay recorded per-client batch statistics onto ``model``.
 
-    Applies the exact exponential-moving-average updates the sequential path
-    would have performed, in client order, so the global model's buffers are
-    bit-identical between backends.
+    Applies the exact exponential-moving-average updates each client's
+    training forward performed, in ascending client id, so the global
+    model's buffers are bit-identical between backends.
     """
     modules = _batch_stat_modules(model)
+    if not modules:
+        return
     for _, per_module in sorted(stats_by_row, key=lambda item: item[0]):
         for module, forwards in zip(modules, per_module):
             for mean, var in forwards:
@@ -228,26 +234,22 @@ class GradientCollector:
     #: Successful worker reconnects during the last ``collect``.
     last_round_reconnects: int = 0
 
+    #: ``(client_id, stats)`` for every row the last successful ``collect``
+    #: computed: the BatchNorm statistics its training forwards produced,
+    #: which ``collect`` itself never applies.  The caller replays the rows
+    #: it keeps with :func:`replay_batch_stats`.
+    last_round_batch_stats: Sequence[Tuple[int, ClientBatchStats]] = ()
+
     def __init__(self, *, fault_schedule: Optional[FaultSchedule] = None) -> None:
         self.worker_timings: List[WorkerTiming] = []
         #: Deterministic fault injection: a spec for worker ``w`` at
         #: occurrence ``r`` makes that worker's rows fail (uncomputed, RNG
-        #: streams untouched) at this collector's ``r``-th main collect
-        #: pass.  The sequential backend has no link to sever and nothing
-        #: to re-dispatch from, so a fault of *any* kind on its single
+        #: streams untouched) at this collector's ``r``-th collect call.
+        #: The sequential backend has no link to sever and nothing to
+        #: re-dispatch from, so a fault of *any* kind on its single
         #: pseudo-worker 0 degrades straight to the demote rung.
         self.fault_schedule = fault_schedule or FaultSchedule()
         self._fault_rounds = 0
-
-    def _advance_fault_round(self, apply_batch_stats: bool) -> int:
-        """The fault-schedule clock: occurrences count main collect passes.
-
-        A straggler pass (``apply_batch_stats=False``) belongs to the
-        round that spawned it, so it reuses the current tick.
-        """
-        if apply_batch_stats:
-            self._fault_rounds += 1
-        return self._fault_rounds
 
     def client_rng_states(self) -> Dict[int, dict]:
         """Latest known per-client RNG states held *outside* the caller.
@@ -278,8 +280,6 @@ class GradientCollector:
         model: Module,
         out: np.ndarray,
         rows: Optional[Sequence[int]] = None,
-        *,
-        apply_batch_stats: bool = True,
     ) -> np.ndarray:
         """Compute client gradients at ``model`` into ``out`` and return it.
 
@@ -289,10 +289,9 @@ class GradientCollector:
         ``k`` holds ``clients[rows[k]]``'s gradient; the other clients are
         never invoked.
 
-        ``apply_batch_stats=False`` leaves the global model's BatchNorm
-        running statistics untouched by this call (client RNG streams still
-        advance) — the straggler semantics: a discarded submission must not
-        leak normalization state into the server model.
+        The model is left as it was found, BatchNorm running statistics
+        included, whether the call succeeds or raises; the computed rows'
+        statistics are reported in :attr:`last_round_batch_stats`.
         """
         raise NotImplementedError
 
@@ -324,41 +323,38 @@ class SequentialCollector(GradientCollector):
         model: Module,
         out: np.ndarray,
         rows: Optional[Sequence[int]] = None,
-        *,
-        apply_batch_stats: bool = True,
     ) -> np.ndarray:
         subset = resolve_rows(clients, out, rows)
         row_ids = range(len(clients)) if subset is None else subset
         self.failed_rows = ()
+        self.last_round_batch_stats = ()
         invalidate_buffer(out)
-        fault_round = self._advance_fault_round(apply_batch_stats)
-        if self.fault_schedule.any_fires(fault_round):
+        self._fault_rounds += 1
+        if self.fault_schedule.any_fires(self._fault_rounds):
             # The single pseudo-worker owns every row: a fault here is a
             # total outage.  Nothing computes, no RNG stream advances.
             self.failed_rows = tuple(int(row) for row in row_ids)
             self.worker_timings = [(0, 0.0, 0)]
             return out
-        # apply_batch_stats=False restores the BatchNorm running statistics
-        # afterwards (the training forward rebinds, never mutates, the
-        # buffer arrays, so saving the references suffices): a straggler's
-        # discarded submission must not leak state into the global model.
-        saved_stats = (
-            []
-            if apply_batch_stats
-            else [
-                (module, module.running_mean, module.running_var)
-                for module in _batch_stat_modules(model)
-            ]
-        )
+        # The training forward rebinds, never mutates, the running-stat
+        # arrays, so restoring the saved references undoes its inline
+        # updates: the statistics reach the model only by replay.
+        stat_modules = _batch_stat_modules(model)
+        saved = [(m.running_mean, m.running_var) for m in stat_modules]
+        stats = []
         start = monotonic()
         try:
             for buffer_row, client_row in enumerate(row_ids):
-                out[buffer_row] = clients[client_row].compute_gradient(model)
+                client_stats = _collect_client(
+                    clients[client_row], model, out[buffer_row], stat_modules
+                )
+                stats.append((int(client_row), client_stats))
         finally:
-            for module, running_mean, running_var in saved_stats:
+            for module, (running_mean, running_var) in zip(stat_modules, saved):
                 module.running_mean = running_mean
                 module.running_var = running_var
         self.worker_timings = [(0, monotonic() - start, len(row_ids))]
+        self.last_round_batch_stats = stats
         return out
 
 

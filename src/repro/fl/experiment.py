@@ -19,6 +19,7 @@ from repro.data.partition import partition_dataset
 from repro.fl.checkpoint import Checkpoint, load_checkpoint
 from repro.fl.collector import make_collector
 from repro.fl.faults import FaultSchedule
+from repro.fl.participation import build_participation
 from repro.fl.server import FederatedServer
 from repro.fl.simulation import FederatedSimulation, build_clients
 from repro.nn.models.factory import build_model
@@ -134,6 +135,14 @@ def run_experiment(
         profiler=profiler,
     )
 
+    participation = build_participation(
+        config.training.participation,
+        participation_fraction=config.training.participation_fraction,
+        cohort_size=config.training.cohort_size,
+        dropout_rate=config.training.dropout_rate,
+        straggler_rate=config.training.straggler_rate,
+        rng=rng_factory.make("participation"),
+    )
     # A "process" collector spawns its worker fleet here; the finally
     # below closes it even when the simulation's own checks reject the
     # config.
@@ -155,13 +164,8 @@ def run_experiment(
             min_cohort_fraction=config.training.min_cohort_fraction,
             on_quorum_loss=config.training.on_quorum_loss,
             quorum_retries=config.training.quorum_retries,
+            participation=participation,
             seed=config.seed,
-            participation=config.training.participation,
-            participation_fraction=config.training.participation_fraction,
-            cohort_size=config.training.cohort_size,
-            dropout_rate=config.training.dropout_rate,
-            straggler_rate=config.training.straggler_rate,
-            participation_rng=rng_factory.make("participation"),
             profiler=profiler,
         )
         start_round = 0

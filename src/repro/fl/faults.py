@@ -25,7 +25,7 @@ scheduled:
 * in an in-process :class:`~repro.fl.collector.GradientCollector` (and on
   the caller side of a :class:`~repro.fl.transport.collector.\
   DistributedCollector`, where a spec means "the link to worker *w*
-  fails"), every kind triggers on the collector's N-th main collect pass.
+  fails"), every kind triggers on the collector's N-th collect call.
 
 Either way the faulted worker's clients never compute (their RNG streams
 stay untouched), so a faulted round degrades into exactly the dropout /

@@ -133,18 +133,12 @@ class RoundPlan:
         return len(self.stragglers)
 
     @property
-    def is_full_round(self) -> bool:
-        """True when every client in the population submits in time."""
-        return self.num_active == self.population_size
-
-    @property
     def computing(self) -> np.ndarray:
         """Sorted ids of every client that runs ``compute_gradient``.
 
-        The simulation collects active clients and stragglers in two
-        separate passes (straggler BatchNorm statistics must be discarded),
-        so this union is a derived view for schedule consumers and tests,
-        not the collect work list itself.
+        This is the round's collect work list: the simulation computes
+        active clients and stragglers in one collect call, then keeps the
+        active rows (and replays only their BatchNorm statistics).
         """
         if len(self.stragglers) == 0:
             return self.active

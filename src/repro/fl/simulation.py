@@ -14,7 +14,7 @@ fixed-population loop.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +22,17 @@ from repro.attacks.base import Attack, AttackContext
 from repro.data.datasets import ArrayDataset
 from repro.fl.checkpoint import Checkpoint, save_checkpoint
 from repro.fl.client import BenignClient, ByzantineClient, FederatedClient
-from repro.fl.collector import GradientCollector, SequentialCollector
+from repro.fl.collector import (
+    GradientCollector,
+    SequentialCollector,
+    replay_batch_stats,
+)
 from repro.fl.faults import QUORUM_POLICIES, FleetOutageError, QuorumLossError
 from repro.fl.metrics import evaluate_model, selection_confusion
 from repro.fl.participation import (
+    FullParticipation,
     ParticipationSchedule,
     RoundPlan,
-    build_participation,
     scaled_byzantine_hint,
 )
 from repro.fl.server import FederatedServer
@@ -39,8 +43,8 @@ from repro.utils.rng import RngFactory
 from repro.utils.validation import check_byzantine_count
 
 
-def _pass_counters(collector: GradientCollector) -> Dict[str, int]:
-    """The last collect pass's counters, keyed by ``RoundRecord`` field."""
+def _collect_counters(collector: GradientCollector) -> Dict[str, int]:
+    """The last collect call's counters, keyed by ``RoundRecord`` field."""
     sent, received = collector.last_round_bytes
     return {
         "num_redispatched": len(collector.last_round_redispatched),
@@ -98,21 +102,14 @@ class FederatedSimulation:
             ``"retry"`` and raised otherwise.
         quorum_retries: extra collect attempts granted by
             ``on_quorum_loss="retry"``.
-        participation: which clients train each round — a schedule name
-            (``"full"``, ``"uniform"``, ``"fixed_cohort"``) or an explicit
-            :class:`~repro.fl.participation.ParticipationSchedule` instance
-            (which then owns all sampling knobs).
-        participation_fraction: cohort fraction for ``"uniform"`` sampling.
-        cohort_size: cohort size for ``"fixed_cohort"`` sampling.
-        dropout_rate: per-round probability that a sampled client fails
-            before computing (its RNG stream stays untouched).
-        straggler_rate: per-round probability that a surviving sampled
-            client computes (RNG advances) but misses the deadline and is
-            excluded from aggregation.
-        participation_rng: the schedule's randomness; defaults to a
-            deterministic stream derived from ``seed``.
-        seed: seed for the default attacker/participation streams when the
-            explicit generators are not given.
+        participation: the schedule that plans each round (which clients
+            train, drop out or straggle), a
+            :class:`~repro.fl.participation.ParticipationSchedule`;
+            defaults to :class:`~repro.fl.participation.FullParticipation`
+            without failures.  Build one from names with
+            :func:`~repro.fl.participation.build_participation`.
+        seed: seed for the default attacker and participation streams when
+            they are not given.
         profiler: optional :class:`~repro.perf.profiler.RoundProfiler`; when
             given, every round records "collect_gradients", per-worker
             "collect_worker_<i>", "attack", and "evaluate" stages here (the
@@ -137,12 +134,7 @@ class FederatedSimulation:
         min_cohort_fraction: float = 0.0,
         on_quorum_loss: str = "accept",
         quorum_retries: int = 2,
-        participation: Union[str, ParticipationSchedule] = "full",
-        participation_fraction: float = 1.0,
-        cohort_size: Optional[int] = None,
-        dropout_rate: float = 0.0,
-        straggler_rate: float = 0.0,
-        participation_rng=None,
+        participation: Optional[ParticipationSchedule] = None,
         seed: int = 0,
         profiler: Optional[RoundProfiler] = None,
     ):
@@ -181,21 +173,11 @@ class FederatedSimulation:
         self._attack_rng = (
             attack_rng if attack_rng is not None else rng_factory.make("attack")
         )
-        if isinstance(participation, ParticipationSchedule):
-            self.schedule = participation
-        else:
-            self.schedule = build_participation(
-                participation,
-                participation_fraction=participation_fraction,
-                cohort_size=cohort_size,
-                dropout_rate=dropout_rate,
-                straggler_rate=straggler_rate,
-                rng=(
-                    participation_rng
-                    if participation_rng is not None
-                    else rng_factory.make("participation")
-                ),
-            )
+        self.schedule = (
+            participation
+            if participation is not None
+            else FullParticipation(rng=rng_factory.make("participation"))
+        )
         # Preallocated (n_clients, dim) round buffer, reused across rounds;
         # partial rounds use a cohort-sized leading slice of it.
         self._round_buffer: Optional[np.ndarray] = None
@@ -215,72 +197,60 @@ class FederatedSimulation:
     def _collect_honest_gradients(self, plan: RoundPlan) -> tuple:
         """The active clients' honest gradients at the current model.
 
-        Gradients are written into the leading ``(num_active, dim)`` slice
-        of the preallocated round buffer (reused across rounds) by the
-        configured :class:`~repro.fl.collector.GradientCollector`; row
-        ``k`` holds the gradient of client ``plan.active[k]``.
+        One collect call computes every client of ``plan.computing`` —
+        the active clients and the stragglers — into the leading rows of
+        the preallocated round buffer (reused across rounds).
         Non-participating clients are never invoked, so their RNG streams
-        stay untouched.  Stragglers are collected afterwards into a scratch
-        slice with ``apply_batch_stats=False``: their RNG streams advance
-        and their compute time is spent, but neither their gradient nor
-        their BatchNorm statistics reach the server — the whole discarded
-        submission stays discarded.
+        stay untouched.  A straggler's RNG stream advances and its compute
+        time is spent, but neither its gradient nor its BatchNorm
+        statistics reach the server: the whole discarded submission stays
+        discarded.
 
-        Returns ``(buffer, plan, stats)``.  The returned plan differs from
-        the argument only when the collector reported rows it could not
-        obtain (a distributed worker died or timed out and re-dispatch
-        could not recover the rows): those clients are demoted to
-        dropouts, their NaN rows are compacted out of the buffer, and the
-        round continues with the survivors.  ``stats`` holds the round
-        record's collect counters (re-dispatched rows, reconnects, wire
-        bytes), summed over the main and straggler passes.  Raises
-        :class:`~repro.fl.faults.FleetOutageError` when *every* row failed —
-        no gradients at all is an outage, not a dropout.
+        Returns ``(buffer, plan, counters, batch_stats)``, where row ``k``
+        of ``buffer`` holds the gradient of client ``plan.active[k]``.  The
+        returned plan differs from the argument only when the collector
+        reported active rows it could not obtain (a distributed worker
+        died or timed out and re-dispatch could not recover the rows):
+        those clients are demoted to dropouts and the round continues with
+        the survivors.  ``counters`` holds the round record's collect
+        counters (re-dispatched rows, reconnects, wire bytes) and
+        ``batch_stats`` the kept rows' BatchNorm statistics, for the round
+        to replay once it accepts this attempt.  Raises
+        :class:`~repro.fl.faults.FleetOutageError` when *every* active row
+        failed — no gradients at all is an outage, not a dropout.
         """
         full = self._round_buffer
         if full is None:
             dim = self.model.num_parameters()
             full = np.empty((self.num_clients, dim), dtype=self.dtype)
             self._round_buffer = full
-        buffer = full[: plan.num_active]
-        rows = None if plan.is_full_round else plan.active
+        computing = plan.computing
+        buffer = full[: len(computing)]
+        rows = None if len(computing) == self.num_clients else computing
         collector = self.collector
         collector.collect(self.clients, self.model, buffer, rows=rows)
-        timings = list(collector.worker_timings)
-        stats = _pass_counters(collector)
-        failed = tuple(collector.failed_rows)
-        if failed:
-            if len(failed) == plan.num_active:
-                raise FleetOutageError(
-                    "every collect worker failed this round; no gradients "
-                    "were obtained — treat this as a fleet outage, not a "
-                    "dropout"
-                )
-            # Compact the surviving rows to the front of the round buffer
-            # (fancy indexing copies, so the overlapping move is safe), then
-            # demote the failed clients in the plan.
-            keep = np.flatnonzero(~np.isin(plan.active, failed))
-            buffer[: len(keep)] = buffer[keep]
-            plan = plan.demote_to_dropped(failed)
-            buffer = full[: plan.num_active]
-        if plan.num_stragglers:
-            scratch = full[plan.num_active : plan.num_active + plan.num_stragglers]
-            collector.collect(
-                self.clients,
-                self.model,
-                scratch,
-                rows=plan.stragglers,
-                apply_batch_stats=False,
+        # A failed straggler needs no demotion: its submission is
+        # discarded either way.
+        failed = plan.active[np.isin(plan.active, collector.failed_rows)]
+        if len(failed) == plan.num_active:
+            raise FleetOutageError(
+                "every collect worker failed this round; no gradients "
+                "were obtained — treat this as a fleet outage, not a "
+                "dropout"
             )
-            # A worker failure during the straggler pass needs no demotion:
-            # straggler submissions are discarded either way.
-            timings.extend(collector.worker_timings)
-            straggler_stats = _pass_counters(collector)
-            stats = {name: stats[name] + straggler_stats[name] for name in stats}
+        plan = plan.demote_to_dropped(failed)
+        batch_stats = collector.last_round_batch_stats
+        if plan.num_active < len(computing):
+            # Compact the kept rows to the front of the round buffer (fancy
+            # indexing copies, so the overlapping move is safe).
+            buffer[: plan.num_active] = buffer[np.isin(computing, plan.active)]
+            kept = set(plan.active.tolist())
+            batch_stats = [item for item in batch_stats if item[0] in kept]
         if self.profiler.enabled:
-            for worker_index, seconds, _ in timings:
+            for worker_index, seconds, _ in collector.worker_timings:
                 self.profiler.record(f"collect_worker_{worker_index}", seconds)
-        return buffer, plan, stats
+        counters = _collect_counters(collector)
+        return full[: plan.num_active], plan, counters, batch_stats
 
     def _quorum_size(self, plan: RoundPlan) -> int:
         return math.ceil(self.min_cohort_fraction * plan.cohort_size)
@@ -292,7 +262,9 @@ class FederatedSimulation:
         with fewer active clients than ``min_cohort_fraction`` requires (or
         with none at all — a fleet outage), ``on_quorum_loss`` decides
         whether to accept the degraded round, redraw the plan and retry, or
-        raise.
+        raise.  Once an attempt is accepted, its active clients' BatchNorm
+        statistics are replayed onto the global model in ascending client
+        id.
         """
         profiler = self.profiler
         profiler.begin_round(round_index)
@@ -302,7 +274,7 @@ class FederatedSimulation:
             may_retry = self.on_quorum_loss == "retry" and retries < self.quorum_retries
             try:
                 with profiler.stage("collect_gradients"):
-                    submitted_honest, plan, collect_stats = (
+                    submitted_honest, plan, collect_stats, batch_stats = (
                         self._collect_honest_gradients(plan)
                     )
             except FleetOutageError:
@@ -322,6 +294,9 @@ class FederatedSimulation:
                 f"({self.min_cohort_fraction:.0%} of the {plan.cohort_size}"
                 f"-client cohort) after {retries} retries"
             )
+        # The accepted attempt's kept rows are the only BatchNorm statistics
+        # that reach the global model; discarded attempts leak nothing.
+        replay_batch_stats(self.model, batch_stats)
         byzantine_positions = plan.byzantine_positions(self.byzantine_indices)
         context = AttackContext(
             round_index=round_index,

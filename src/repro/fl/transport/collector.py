@@ -18,9 +18,9 @@ buffer with the selected clients' gradients — bit-identically, across TCP:
   advance exactly once per computed round, so a healthy fleet is
   bit-identical to the sequential backend at any worker count, including
   sampled ``rows=`` cohorts;
-* BatchNorm batch statistics come back in the trailers and are replayed
-  onto the global model in ascending client order — the plan order every
-  backend shares.
+* BatchNorm batch statistics come back in the trailers and are published
+  in :attr:`last_round_batch_stats`; like every backend, the collector
+  never changes the model, and the round replays the rows it keeps.
 
 Failure semantics — the part that differs from the sequential backend:
 a worker that dies, times out, or refuses mid-round does **not** raise.
@@ -55,8 +55,8 @@ unreachable fleet is a deployment error, not a round-level failure.
 
 A :class:`~repro.fl.faults.FaultSchedule` can be injected on the caller
 side too (``fault_schedule=``): a spec targeting worker *w* at occurrence
-*r* severs the link to that worker at the collector's *r*-th main collect
-pass — the recovery ladder then runs exactly as it would for a real
+*r* severs the link to that worker at the collector's *r*-th collect
+call — the recovery ladder then runs exactly as it would for a real
 failure.  (Worker-side injection — the ``repro-worker --fault`` flag —
 exercises the same ladder from the other end.)
 """
@@ -71,7 +71,6 @@ from repro.fl.client import FederatedClient
 from repro.fl.collector import (
     GradientCollector,
     _check_deterministic_forward,
-    _replay_batch_stats,
     invalidate_buffer,
     resolve_rows,
 )
@@ -112,7 +111,7 @@ class DistributedCollector(GradientCollector):
             demote rung of the ladder).
         fault_schedule: deterministic caller-side fault injection — a
             spec for worker ``w`` at occurrence ``r`` severs that link at
-            this collector's ``r``-th main collect pass.
+            this collector's ``r``-th collect call.
         wire_codec: gradient wire codec for the shard frames (see
             :data:`~repro.fl.transport.codec.GRADIENT_CODECS`); the
             default ``raw`` keeps the pre-codec wire format byte for
@@ -284,15 +283,11 @@ class DistributedCollector(GradientCollector):
         model: Module,
         out: np.ndarray,
         rows: Optional[Sequence[int]] = None,
-        *,
-        apply_batch_stats: bool = True,
     ) -> np.ndarray:
         subset = resolve_rows(clients, out, rows)
         _check_deterministic_forward(model, type(self).__name__)
-        # Straggler passes share the main pass's fault clock: a fault spec's
-        # "round" means "this collector's N-th round", not its N-th network
-        # exchange.
-        fault_round = self._advance_fault_round(apply_batch_stats)
+        self.last_round_batch_stats = ()
+        self._fault_rounds += 1
         reconnects_before = sum(conn.reconnects for conn in self._conns)
         self._ensure_fleet(clients, model)
         if not any(conn.connected for conn in self._conns):
@@ -320,7 +315,7 @@ class DistributedCollector(GradientCollector):
             hi = int(np.searchsorted(all_rows, chunk[-1] + 1))
             if hi == lo:
                 continue  # none of this worker's clients participate
-            if self.fault_schedule.any_fires(fault_round, index):
+            if self.fault_schedule.any_fires(self._fault_rounds, index):
                 # Injected link fault: sever the connection before the
                 # broadcast.  The worker never sees the round, so its
                 # clients' RNG streams stay untouched — recovery (or
@@ -374,8 +369,7 @@ class DistributedCollector(GradientCollector):
         )
         if first_error is not None:
             raise first_error
-        if apply_batch_stats:
-            _replay_batch_stats(model, stats_by_row)
+        self.last_round_batch_stats = stats_by_row
         return out
 
     def _consume_trailer(

@@ -314,8 +314,9 @@ class _BatchNormBase(Module):
     training forward pass); they participate in ``state_dict`` /
     ``load_state_dict`` via :meth:`_own_buffers`.  When ``stats_log`` is a
     list, every training forward also appends its ``(batch_mean, batch_var)``
-    pair there — the parallel collect backends use this to replay client
-    batch-statistics updates onto the global model in client order.
+    pair there — every collect backend uses this to report client batch
+    statistics, which the round replays onto the global model in client
+    order.
     """
 
     def __init__(

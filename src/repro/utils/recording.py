@@ -54,9 +54,9 @@ class RoundRecord:
     #: False when the round finished below ``min_cohort_fraction`` and the
     #: ``accept`` policy recorded it anyway.
     quorum_met: bool = True
-    #: Bytes the collector sent to / received from its workers this round
-    #: (main and straggler passes; 0 on the sequential path, which has no
-    #: wire).
+    #: Bytes the collector sent to / received from its workers in the
+    #: round's one collect call (stragglers included; 0 on the sequential
+    #: path, which has no wire).
     bytes_sent: int = 0
     bytes_received: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)

@@ -520,12 +520,15 @@ class TestDistributedRecovery:
         assert records[1].num_redispatched == 4
         assert records[1].num_reconnects >= 1  # the link was repaired after
 
-    def test_straggler_pass_recovery_counts_reach_the_record(self):
-        # A straggler pass shares its round's fault tick, so a caller-side
-        # crash severs worker 1's link in both of round 1's passes, and
-        # each pass reconnects and re-dispatches.  The record sums them.
+    def test_straggler_rows_ride_the_one_collect_call(self):
+        # Stragglers compute in the round's one collect call, so each
+        # worker gets one round broadcast per round, and a caller-side
+        # crash of worker 1 in round 1 costs one reconnect and one
+        # re-dispatch covering its active and straggler rows alike.
         crash = FaultSchedule([FaultSpec("crash", 2, worker=1)])
-        passes = []
+        twin = FullParticipation(straggler_rate=0.3, rng=np.random.default_rng(2))
+        twin.plan(0, 12)
+        plan = twin.plan(1, 12)  # the plan the simulation draws for round 1
         with start_thread_fleet(2) as fleet:
             collector = DistributedCollector(
                 fleet.addresses,
@@ -533,20 +536,18 @@ class TestDistributedRecovery:
                 round_timeout=30.0,
                 fault_schedule=crash,
             )
-            collect = collector.collect
+            # Own-shard broadcasts per worker: every begin_round, less the
+            # re-dispatch sends (each of which follows one extend).
+            sends = {}
+            for index, conn in enumerate(collector._conns):
+                for method, step in (("begin_round", 1), ("extend", -1)):
+                    original = getattr(conn, method)
 
-            def counting_collect(*args, **kwargs):
-                out = collect(*args, **kwargs)
-                passes.append(
-                    (
-                        len(collector.last_round_redispatched),
-                        collector.last_round_reconnects,
-                        *collector.last_round_bytes,
-                    )
-                )
-                return out
+                    def counted(*args, _call=original, _key=index, _step=step):
+                        sends[_key] = sends.get(_key, 0) + _step
+                        return _call(*args)
 
-            collector.collect = counting_collect
+                    setattr(conn, method, counted)
             simulation = build_simulation(
                 collector,
                 n_clients=12,
@@ -555,18 +556,26 @@ class TestDistributedRecovery:
                 ),
             )
             try:
-                simulation.run_round(0)
-                passes.clear()
-                record = simulation.run_round(1)
+                broadcasts = []
+                records = []
+                for index in range(2):
+                    sends.clear()
+                    records.append(simulation.run_round(index))
+                    broadcasts.append(dict(sends))
+                redispatched = collector.last_round_redispatched
+                reconnects = collector.last_round_reconnects
             finally:
                 simulation.close()
-        main, straggler = passes
-        assert record.num_stragglers > 0
-        assert straggler[0] > 0 and straggler[1] > 0
-        assert record.num_redispatched == main[0] + straggler[0]
-        assert record.num_reconnects == main[1] + straggler[1]
-        assert record.bytes_sent == main[2] + straggler[2]
-        assert record.bytes_received == main[3] + straggler[3]
+        # Round 1 severs worker 1's link before its broadcast.
+        assert broadcasts == [{0: 1, 1: 1}, {0: 1, 1: 0}]
+        record = records[1]
+        assert record.num_stragglers > 0 and record.num_dropped == 0
+        lost = [int(i) for i in plan.computing if i >= 6]  # worker 1's chunk
+        assert set(lost) & set(plan.active.tolist())
+        assert set(lost) & set(plan.stragglers.tolist())
+        assert list(redispatched) == lost
+        assert record.num_redispatched == len(lost)
+        assert record.num_reconnects == reconnects == 1
 
 
 def test_quorum_size_uses_ceiling():

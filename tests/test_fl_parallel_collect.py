@@ -7,9 +7,9 @@ the fleet is *bit-identical* to the sequential collector at float64 (the
 per-client RNG streams are fixed before dispatch, so scheduling cannot
 change results), equivalent within tolerance at float32, robust across
 worker-count edge cases, propagates client exceptions, NaN-invalidates the
-reused round buffer so stale rows cannot leak, and replays BatchNorm
-running-statistics updates onto the global model so evaluation metrics
-match the sequential path exactly.
+reused round buffer so stale rows cannot leak, and reports BatchNorm
+running-statistics updates whose replay onto the global model makes
+evaluation metrics match the sequential path exactly.
 
 (The ``process`` backend — the same collector over spawned ``repro-worker``
 subprocesses — shares these contracts; its tests live in
@@ -24,7 +24,7 @@ import pytest
 from repro import DataConfig, DefenseConfig, ExperimentConfig, TrainingConfig
 from repro.data.factory import build_dataset
 from repro.fl.client import BenignClient
-from repro.fl.collector import SequentialCollector, make_collector
+from repro.fl.collector import SequentialCollector, make_collector, replay_batch_stats
 from repro.fl.experiment import run_experiment
 from repro.fl.metrics import evaluate_model
 from repro.fl.transport import DistributedCollector, start_thread_fleet
@@ -368,8 +368,10 @@ def run_batchnorm_rounds(make_collector, rounds=3, n_clients=6, seed=0):
     """Collect ``rounds`` rounds with a BatchNorm model; return the final
     round buffer, evaluation metrics, and the global model's buffers.
 
-    Shared with ``test_fl_process_collect.py`` so every backend is checked
-    against the same sequential reference.
+    ``collect`` leaves the model alone, so each round replays the
+    collector's reported batch statistics, as the simulation does.  Shared
+    with ``test_fl_process_collect.py`` so every backend is checked against
+    the same sequential reference.
     """
     split = build_dataset(
         "mnist_like",
@@ -393,6 +395,7 @@ def run_batchnorm_rounds(make_collector, rounds=3, n_clients=6, seed=0):
     with make_collector() as collector:
         for _ in range(rounds):
             collector.collect(clients, model, out)
+            replay_batch_stats(model, collector.last_round_batch_stats)
     accuracy, loss = evaluate_model(model, split.test)
     buffers = {name: value.copy() for name, value in model.named_buffers()}
     return out.copy(), accuracy, loss, buffers
@@ -401,9 +404,9 @@ def run_batchnorm_rounds(make_collector, rounds=3, n_clients=6, seed=0):
 class TestBatchNormBufferParity:
     """Sequential and thread-fleet collect agree on BatchNorm buffers and eval.
 
-    Worker replicas log their per-batch statistics and the collector replays
-    them onto the global model in client order, so running statistics — and
-    therefore evaluation metrics — are bit-identical between backends.
+    Every backend reports its clients' per-batch statistics, and replaying
+    them onto the global model in client order makes running statistics —
+    and therefore evaluation metrics — bit-identical between backends.
     """
 
     def test_threaded_buffers_and_eval_match_sequential(self):

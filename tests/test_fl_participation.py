@@ -6,16 +6,21 @@ Contracts under test:
   at-least-one-active resurrection, reproducibility, and the
   full-participation zero-randomness guarantee.
 * Collect backends handle arbitrary (non-contiguous) client subsets —
-  bit-identically to each other, with BatchNorm statistics replayed in
-  plan order, with non-sampled clients' RNG streams untouched, and with
-  the variable-width round buffer NaN-invalidated on failure.
+  bit-identically to each other, leaving the model untouched and
+  reporting BatchNorm statistics whose replay in plan order matches
+  across backends, with non-sampled clients' RNG streams untouched, and
+  with the variable-width round buffer NaN-invalidated on failure.
 * The simulation threads the plan through every layer: cohort-scoped
   attack context, scaled Byzantine hint, global-id selection records,
-  profiler annotations — and ``participation="full"`` (the default) is
-  bit-identical to a plain pre-participation run on every backend.
+  per-round participation totals — and full participation (the default)
+  is bit-identical to a plain pre-participation run on every backend.
+  Only the accepted attempt's active clients' BatchNorm statistics reach
+  the global model.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -28,11 +33,17 @@ from repro.attacks.base import Attack
 from repro.core import SignGuard
 from repro.data.partition import iid_partition
 from repro.data.synthetic_images import make_mnist_like
-from repro.fl.collector import SequentialCollector, make_collector, resolve_rows
+from repro.fl.collector import (
+    SequentialCollector,
+    make_collector,
+    replay_batch_stats,
+    resolve_rows,
+)
 from repro.fl.experiment import run_experiment
 from repro.fl.participation import (
     FixedCohortParticipation,
     FullParticipation,
+    ParticipationSchedule,
     RoundPlan,
     UniformParticipation,
     build_participation,
@@ -73,7 +84,6 @@ class TestRoundPlan:
         assert plan.num_dropped == 1
         assert plan.num_stragglers == 1
         np.testing.assert_array_equal(plan.computing, [1, 5, 7])
-        assert not plan.is_full_round
 
     def test_ids_sorted_on_construction(self):
         plan = self.make_plan(cohort=[7, 1, 5, 3], active=[5, 1])
@@ -120,7 +130,6 @@ class TestSchedules:
             plan = schedule.plan(round_index, 7)
             np.testing.assert_array_equal(plan.cohort, np.arange(7))
             np.testing.assert_array_equal(plan.active, np.arange(7))
-            assert plan.is_full_round
             assert plan.num_dropped == plan.num_stragglers == 0
 
     def test_uniform_cohort_size_and_reproducibility(self):
@@ -274,9 +283,14 @@ class TestCollectSubsets:
                 for rows in ([0, 2, 5], [1, 3, 4, 5]):
                     out = np.empty((len(rows), model.num_parameters()))
                     collector.collect(clients, model, out, rows=rows)
+                    stats = collector.last_round_batch_stats
+                    assert sorted(row for row, _ in stats) == rows
+                    replay_batch_stats(model, stats)
             return {k: v.copy() for k, v in model.state_dict().items()}
 
         reference = run(SequentialCollector)
+        # The replay moves the running statistics off their zero init.
+        assert not np.allclose(reference["network.layers.2.running_mean"], 0.0)
         for name, make_collector in self.backends()[1:]:
             state = run(make_collector)
             for key in reference:
@@ -294,22 +308,34 @@ class TestCollectSubsets:
             assert not np.any(out == 7.0), name
             assert np.all(np.isnan(out[1])), name  # the failed client's row
 
-    def test_apply_batch_stats_false_leaves_global_model_untouched(self):
-        # Straggler semantics: the gradient computes (RNG advances) but no
-        # BatchNorm running-statistics update reaches the global model.
+    def test_collect_leaves_global_model_untouched(self):
+        # The gradient computes (RNG advances) but collect changes nothing
+        # in the model, BatchNorm running statistics included — also when
+        # a client raises after another already ran its training forward.
+        # Only the round's replay moves the statistics.
         for name, make_collector in self.backends():
-            clients = make_clients(6)
-            model = BatchNormMLP()
-            before = {k: v.copy() for k, v in model.state_dict().items()}
-            out = np.empty((2, model.num_parameters()))
-            with make_collector() as collector:
-                collector.collect(
-                    clients, model, out, rows=[1, 4], apply_batch_stats=False
-                )
-            assert np.all(np.isfinite(out)), name
-            after = model.state_dict()
-            for key in before:
-                assert np.array_equal(before[key], after[key]), f"{name}:{key}"
+            for raising in (True, False):
+                clients = make_clients(6)
+                if raising:
+                    clients[4] = exploding_client(clients[4])
+                model = BatchNormMLP()
+                before = {k: v.copy() for k, v in model.state_dict().items()}
+                out = np.empty((2, model.num_parameters()))
+                with make_collector() as collector:
+                    if raising:
+                        with pytest.raises(RuntimeError, match="boom"):
+                            collector.collect(clients, model, out, rows=[1, 4])
+                    else:
+                        collector.collect(clients, model, out, rows=[1, 4])
+                    after = model.state_dict()
+                    for key in before:
+                        assert np.array_equal(before[key], after[key]), (
+                            f"{name} (client 4 raises: {raising}): {key}"
+                        )
+                    if not raising:
+                        assert np.all(np.isfinite(out)), name
+                        stats = collector.last_round_batch_stats
+                        assert sorted(row for row, _ in stats) == [1, 4], name
 
     def test_sampled_rows_invalidated_in_process_backend(self):
         clients = make_clients(6)
@@ -396,6 +422,62 @@ def make_simulation(
     )
 
 
+class QueuedPlans(ParticipationSchedule):
+    """Hands out fixed plans in call order, one per attempt (test double)."""
+
+    def __init__(self, plans):
+        self.plans = list(plans)
+
+    def plan(self, round_index, population_size):
+        return self.plans.pop(0)
+
+
+def fixed_plan(round_index, active, *, dropped=(), stragglers=()):
+    """A 6-client round plan with uniform weights over ``active``."""
+    active = list(active)
+    return RoundPlan(
+        round_index=round_index,
+        population_size=6,
+        cohort=sorted({*active, *dropped, *stragglers}),
+        active=active,
+        dropped=list(dropped),
+        stragglers=list(stragglers),
+        weights=np.full(len(active), 1.0 / len(active)),
+    )
+
+
+def run_batchnorm_simulation(split, rounds, plans, *, advance=(), **kwargs):
+    """Run ``plans`` over a 6-client BatchNorm population.
+
+    Returns the recorder and the final model state.  Each client in
+    ``advance`` first computes one throwaway gradient on a copy of the
+    model, which advances its batch-sampling stream and nothing else.
+    """
+    rng_factory = RngFactory(0)
+    partitions = iid_partition(split.train, 6, rng=rng_factory.make("p"))
+    clients = build_clients(
+        split.train, partitions, (), batch_size=16, rng_factory=rng_factory
+    )
+    model = BatchNormMLP()
+    for client_id in advance:
+        clients[client_id].compute_gradient(copy.deepcopy(model))
+    server = FederatedServer(model, MeanAggregator(), learning_rate=0.1, rng=0)
+    simulation = FederatedSimulation(
+        server,
+        clients,
+        NoAttack(),
+        split.test,
+        attack_rng=np.random.default_rng(0),
+        participation=QueuedPlans(plans),
+        **kwargs,
+    )
+    try:
+        recorder = simulation.run(rounds)
+    finally:
+        simulation.close()
+    return recorder, {k: v.copy() for k, v in model.state_dict().items()}
+
+
 class RecordingAttack(Attack):
     """Captures the context the simulation hands to the attacker."""
 
@@ -429,7 +511,7 @@ class HintRecordingAggregator(Aggregator):
 class TestSimulationParticipation:
     def test_full_default_matches_explicit_schedule(self, split):
         results = []
-        for participation in ("full", FullParticipation()):
+        for participation in (None, FullParticipation()):
             simulation = make_simulation(
                 split, SignFlipAttack(), SignGuard(), participation=participation
             )
@@ -571,59 +653,47 @@ class TestSimulationParticipation:
         # Two plans with the same active set — one where extra clients
         # straggle, one where they were never sampled — must produce the
         # same global model: a discarded submission leaks nothing.
-        from repro.fl.participation import RoundPlan
-
-        class FixedPlanSchedule(FullParticipation):
-            def __init__(self, plans):
-                super().__init__()
-                self.plans = plans
-
-            def plan(self, round_index, population_size):
-                return self.plans[round_index]
-
-        def run(plans):
-            rng_factory = RngFactory(0)
-            partitions = iid_partition(split.train, 6, rng=rng_factory.make("p"))
-            clients = build_clients(
-                split.train, partitions, (), batch_size=16, rng_factory=rng_factory
-            )
-            model = BatchNormMLP()
-            server = FederatedServer(model, MeanAggregator(), learning_rate=0.1, rng=0)
-            simulation = FederatedSimulation(
-                server,
-                clients,
-                NoAttack(),
-                split.test,
-                attack_rng=np.random.default_rng(0),
-                participation=FixedPlanSchedule(plans),
-            )
-            recorder = simulation.run(len(plans))
-            return recorder, {k: v.copy() for k, v in model.state_dict().items()}
-
-        def plan(round_index, active, stragglers=()):
-            cohort = sorted(set(active) | set(stragglers))
-            return RoundPlan(
-                round_index=round_index,
-                population_size=6,
-                cohort=cohort,
-                active=active,
-                dropped=[],
-                stragglers=list(stragglers),
-                weights=np.full(len(active), 1.0 / len(active)),
-            )
-
         # Straggler 5 is never sampled again, so the only thing that could
         # leak into the later rounds is its (discarded) round-0 submission.
-        with_stragglers, state_a = run(
-            [plan(0, [0, 2, 4], stragglers=[5]), plan(1, [1, 3])]
+        with_stragglers, state_a = run_batchnorm_simulation(
+            split, 2, [fixed_plan(0, [0, 2, 4], stragglers=[5]), fixed_plan(1, [1, 3])]
         )
-        without, state_b = run([plan(0, [0, 2, 4]), plan(1, [1, 3])])
+        without, state_b = run_batchnorm_simulation(
+            split, 2, [fixed_plan(0, [0, 2, 4]), fixed_plan(1, [1, 3])]
+        )
         for key in state_a:
             assert np.array_equal(state_a[key], state_b[key]), key
         for ra, rb in zip(with_stragglers.rounds, without.rounds):
             assert ra.train_loss == rb.train_loss
             assert ra.test_accuracy == rb.test_accuracy
             assert ra.selected_clients == rb.selected_clients
+
+    @pytest.mark.parametrize("backend", ["sequential", "thread fleet"])
+    def test_quorum_retried_attempt_leaks_no_batch_stats(self, split, backend):
+        # Attempt 1 keeps only clients 0-1 active, below the 0.9 quorum, so
+        # the round retries with all six.  The discarded attempt advanced
+        # clients 0-1's streams but must leave no BatchNorm trace: the run
+        # equals one that never saw attempt 1, with those two streams
+        # advanced by hand.
+        attempts = [
+            fixed_plan(0, [0, 1], dropped=[2, 3, 4, 5]),
+            fixed_plan(0, range(6)),
+        ]
+        retried, state = run_batchnorm_simulation(
+            split,
+            1,
+            attempts,
+            collector=fleet_collector(2) if backend == "thread fleet" else None,
+            min_cohort_fraction=0.9,
+            on_quorum_loss="retry",
+        )
+        reference, expected = run_batchnorm_simulation(
+            split, 1, [fixed_plan(0, range(6))], advance=[0, 1]
+        )
+        assert retried.rounds[0].num_retries == 1
+        assert retried.rounds[0].train_loss == reference.rounds[0].train_loss
+        for key in expected:
+            assert np.array_equal(state[key], expected[key]), key
 
     def test_stragglers_compute_but_are_excluded(self, split):
         simulation = make_simulation(

@@ -483,9 +483,9 @@ class TestLocalFleet:
         # traceback (kept alive in ``rejected``) still references the
         # collector, so only an explicit close stops them.
         def reject(*args, **kwargs):
-            raise ValueError("rejected participation")
+            raise ValueError("rejected simulation")
 
-        monkeypatch.setattr("repro.fl.simulation.build_participation", reject)
+        monkeypatch.setattr("repro.fl.experiment.FederatedSimulation", reject)
         before = spawned_workers()
         config = ExperimentConfig(
             num_clients=4,

@@ -570,7 +570,7 @@ def build_simulation(collector, *, n_clients=8, seed=5, schedule=None):
         split.test,
         attack_rng=factory.make("attack"),
         collector=collector,
-        participation=schedule if schedule is not None else "full",
+        participation=schedule,
         seed=seed,
     )
 
